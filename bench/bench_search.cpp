@@ -18,7 +18,6 @@
 #include "core/arrangement.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
-#include "search/search.hpp"
 #include "search/tempering.hpp"
 #include "perf_json.hpp"
 
@@ -103,12 +102,15 @@ void bench_incremental_rebuild(std::size_t n) {
   g_metrics["search.rebuild_speedup.n" + std::to_string(n)] = speedup;
 }
 
-/// End-to-end short search on the paper's headline 37-chiplet HexaMesh:
-/// wall-clock, evaluation throughput, and the best/baseline score ratio
-/// (>= 1 by the monotonic-best invariant — recorded so a scoring or
-/// acceptance regression shows up as a dropped ratio).
+/// End-to-end short single-chain hill climb (one replica at zero
+/// temperature) on the paper's headline 37-chiplet HexaMesh: wall-clock,
+/// evaluation throughput, and the best/baseline score ratio (>= 1 by the
+/// monotonic-best invariant — recorded so a scoring or acceptance
+/// regression shows up as a dropped ratio).
 void bench_search_e2e() {
-  hm::search::SearchOptions opt;
+  hm::search::TemperingOptions opt;
+  opt.replicas = 1;
+  opt.initial_temperature = 0.0;
   opt.steps = g_smoke ? 4 : 12;
   opt.candidates_per_step = 2;
   opt.threads = 0;  // hardware concurrency
@@ -116,7 +118,7 @@ void bench_search_e2e() {
   opt.params.throughput_measure = 1000;
   const auto start = make_arrangement(ArrangementType::kHexaMesh, 37);
 
-  hm::search::SearchEngine engine(opt);
+  hm::search::TemperingEngine engine(opt);
   const double t0 = now_seconds();
   const auto res = engine.run(start);
   const double wall = now_seconds() - t0;

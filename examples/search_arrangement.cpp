@@ -1,10 +1,10 @@
 // Arrangement search: start from a stock family arrangement and hunt for a
-// better one with the mutation-based optimizers, scoring candidates with
-// the paper's cycle-accurate pipeline. Two engines share the move set and
-// objective: the single-chain local search (hill climb / simulated
-// annealing) and the population-based parallel tempering of
-// search/tempering.hpp. Prints the baseline vs. the best state found and,
-// optionally, exports the deterministic step-by-step trace.
+// better one with the mutation-based search engine of search/tempering.hpp,
+// scoring candidates with the paper's cycle-accurate pipeline. The default
+// is a single-chain hill climb; --anneal cools that chain, --tempering K
+// runs K replicas with replica exchange. Prints the baseline vs. the best
+// state found and, optionally, exports the deterministic step-by-step
+// trace.
 //
 //   ./search_arrangement [grid|brickwall|hexamesh] [N] [steps]
 //       --anneal            simulated annealing instead of hill climbing
@@ -35,7 +35,6 @@
 #include "cli_util.hpp"
 #include "core/arrangement.hpp"
 #include "noc/routing.hpp"
-#include "search/search.hpp"
 #include "search/tempering.hpp"
 #include "store/result_store.hpp"
 
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
   std::string family = "hexamesh";
   std::size_t n = 37;
   std::size_t steps = 32;
-  std::size_t tempering_replicas = 0;  // 0 = single-chain engine
+  std::size_t tempering_replicas = 0;  // 0 = single chain
   std::size_t exchange_interval = 4;
   bool exchange_set = false;
   bool anneal = false;
@@ -199,68 +198,31 @@ int main(int argc, char** argv) {
     // under whichever engine runs below.
     const std::string store_dir = hm::store::ResultStore::resolve_dir(cache_dir);
 
+    hm::search::TemperingOptions opt;
     if (tempering_replicas > 0) {
-      hm::search::TemperingOptions opt;
       opt.replicas = tempering_replicas;
-      opt.steps = steps;
       opt.exchange_interval = exchange_interval;
-      opt.objective = objective;
-      opt.threads = threads;
-      opt.seed = seed;
-      opt.params = params;
-      opt.cache_dir = store_dir;
-      opt.on_progress = [](const hm::search::TemperingProgress& p) {
-        std::fprintf(stderr, "\r[%zu/%zu] best %.4g", p.step, p.total,
-                     p.best_score);
-        if (p.step == p.total) std::fprintf(stderr, "\n");
-        std::fflush(stderr);
-      };
-      hm::search::TemperingEngine engine(opt);
-      const auto res = engine.run(start);
-
-      std::printf("start:  %s — %.4g %s\n", start.name().c_str(),
-                  value(res.baseline_result), unit);
-      std::printf("best:   %s, %zu links — %.4g %s (%+.2f%% score)\n",
-                  res.best.name().c_str(), res.best.graph().edge_count(),
-                  value(res.best_result), unit,
-                  100.0 * (res.best_score - res.baseline_score) /
-                      std::abs(res.baseline_score));
-      std::printf("ladder:");
-      for (const double t : res.temperatures) std::printf(" %.3g", t);
-      std::printf(" (coldest -> hottest)\n");
-      std::printf(
-          "search: %zu steps x %zu replicas, %zu/%zu exchanges accepted, "
-          "%zu evaluations (%llu cache hits), %llu incremental rebuilds, "
-          "%.1f s\n",
-          steps, opt.replicas, res.exchange_accepts, res.exchange_attempts,
-          res.evaluations,
-          static_cast<unsigned long long>(res.cache_hits),
-          static_cast<unsigned long long>(res.incremental_rebuilds),
-          res.wall_seconds);
-      if (!trace_path.empty()) {
-        hm::search::export_trace_file(trace_path, res.trace);
-        std::printf("trace exported: %s\n", trace_path.c_str());
-      }
-      tcli.finish();
-      return 0;
+    } else {
+      // One chain: a hill climb at zero temperature, or an anneal cooling
+      // from 2% of the baseline score by 8% per step.
+      opt.replicas = 1;
+      opt.candidates_per_step = 4;
+      opt.initial_temperature = anneal ? 0.02 : 0.0;
+      opt.cooling = anneal ? 0.92 : 1.0;
     }
-
-    hm::search::SearchOptions opt;
-    opt.schedule = anneal ? hm::search::Schedule::kAnneal
-                          : hm::search::Schedule::kHillClimb;
-    opt.objective = objective;
     opt.steps = steps;
+    opt.objective = objective;
     opt.threads = threads;
     opt.seed = seed;
     opt.params = params;
     opt.cache_dir = store_dir;
-    opt.on_progress = [](const hm::search::SearchProgress& p) {
+    opt.on_progress = [](const hm::search::TemperingProgress& p) {
       std::fprintf(stderr, "\r[%zu/%zu] best %.4g", p.step, p.total,
                    p.best_score);
       if (p.step == p.total) std::fprintf(stderr, "\n");
       std::fflush(stderr);
     };
-    hm::search::SearchEngine engine(opt);
+    hm::search::TemperingEngine engine(opt);
     const auto res = engine.run(start);
 
     std::size_t accepted = 0;
@@ -273,14 +235,18 @@ int main(int argc, char** argv) {
                 value(res.best_result), unit,
                 100.0 * (res.best_score - res.baseline_score) /
                     std::abs(res.baseline_score));
+    std::printf("ladder:");
+    for (const double t : res.temperatures) std::printf(" %.3g", t);
+    std::printf(" (coldest -> hottest)\n");
     std::printf(
-        "search: %zu steps, %zu accepted, %zu evaluations "
-        "(%llu cache hits), %llu incremental table rebuilds, %.1f s\n",
-        res.trace.size(), accepted, res.evaluations,
+        "search: %zu steps x %zu replicas, %zu accepted, %zu/%zu exchanges "
+        "accepted, %zu evaluations (%llu cache hits), %llu incremental "
+        "rebuilds, %.1f s\n",
+        steps, opt.replicas, accepted, res.exchange_accepts,
+        res.exchange_attempts, res.evaluations,
         static_cast<unsigned long long>(res.cache_hits),
         static_cast<unsigned long long>(res.incremental_rebuilds),
         res.wall_seconds);
-
     if (!trace_path.empty()) {
       hm::search::export_trace_file(trace_path, res.trace);
       std::printf("trace exported: %s\n", trace_path.c_str());

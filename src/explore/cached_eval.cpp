@@ -28,7 +28,8 @@ core::EvaluationResult cached_evaluate(const core::Arrangement& arr,
   const auto analytic =
       cached(analytic_key, [&] { return core::evaluate_analytic(arr, params); });
 
-  const bool want_sim = params.measure_latency || params.measure_saturation;
+  const bool want_sim = params.measure_latency || params.measure_saturation ||
+                        params.faults.enabled();
   core::EvaluationResult result;
   if (!want_sim || arr.chiplet_count() < 2) {
     local.analytic_only = true;

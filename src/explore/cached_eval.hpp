@@ -1,5 +1,5 @@
-// The cached-evaluation core shared by SweepEngine::evaluate_point and the
-// hm_server request handlers: key a design point with the stable content
+// The cached-evaluation core shared by SweepEngine::evaluate_point, the
+// hm_server request handlers and the search engine (search/tempering.hpp): key a design point with the stable content
 // hashes of explore/hash.hpp, serve the analytic half and the full result
 // through a ResultCache (and, transitively, its attached persistent
 // store), and only simulate on a genuine miss.
@@ -22,7 +22,8 @@ struct CachedEvalOutcome {
   /// True when the *final* lookup (full result, or analytic when the point
   /// is analytic-only) was a cache hit. Timing-dependent under concurrency.
   bool from_cache = false;
-  /// True when no simulation was requested or possible (single chiplet).
+  /// True when no simulation was requested (no measurement flag and no
+  /// fault scenario) or possible (single chiplet).
   bool analytic_only = false;
 };
 

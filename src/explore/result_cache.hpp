@@ -106,8 +106,8 @@ class ResultCache {
   /// Deprecated for observability use: lookups are also published, per
   /// shard and aggregated across every ResultCache instance, as the
   /// `cache.shardNN.{hits,misses}` counters in telemetry::snapshot() — the
-  /// uniform surface. These per-instance accessors stay for the engines'
-  /// delta bookkeeping (SearchResult::cache_hits etc.).
+  /// uniform surface. These per-instance accessors stay for per-instance
+  /// checks in tests.
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 

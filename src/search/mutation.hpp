@@ -1,5 +1,5 @@
 // Mutation operators over chiplet arrangements (the move set of the
-// local-search optimizer in search/search.hpp).
+// arrangement-search engine in search/tempering.hpp).
 //
 // A search state is an ordinary core::Arrangement: lattice coordinates per
 // chiplet plus an adjacency graph. The paper's factories emit the *full*

@@ -1,7 +1,6 @@
-// Pluggable scoring for the arrangement-search engines (single-chain
-// local search in search/search.hpp, parallel tempering in
-// search/tempering.hpp). A score is a scalar the search *maximizes*,
-// derived from one Sec. VI EvaluationResult.
+// Pluggable scoring for the arrangement-search engine (hill climb,
+// annealing and parallel tempering in search/tempering.hpp). A score is a
+// scalar the search *maximizes*, derived from one Sec. VI EvaluationResult.
 //
 // Besides the two single-axis objectives of PR 4 (saturation throughput,
 // negated zero-load latency), this adds the multi-objective score the
@@ -52,7 +51,7 @@ struct ObjectiveSpec {
 
   /// When set, overrides `kind` entirely: the score of a design is
   /// custom(result). The function must be pure (same result -> same score)
-  /// — the engines evaluate candidates in parallel and cache by content
+  /// — the engine evaluates candidates in parallel and caches by content
   /// hash, so a stateful score would break both determinism and reuse.
   std::function<double(const core::EvaluationResult&)> custom;
 

@@ -1,25 +1,32 @@
 #include "search/tempering.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "explore/hash.hpp"
+#include "explore/cached_eval.hpp"
 #include "noc/rng.hpp"
 #include "noc/topology.hpp"
-#include "search/trace_io.hpp"
 #include "store/result_store.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
 namespace hm::search {
 
-using detail::fmt;
-
 namespace {
+
+/// Shortest round-trip decimal form of a double (exact, locale-free) —
+/// the same formatting contract as the sweep exports.
+std::string fmt(double v) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, ptr);
+}
 
 // Salt tags keeping the per-replica proposal streams and the per-(step,
 // pair) exchange streams disjoint under noc::derive_seed.
@@ -70,6 +77,19 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
     throw std::invalid_argument(
         "TemperingEngine: ladder_ratio must be in (0, 1]");
   }
+  if (!(options_.initial_temperature >= 0.0) ||
+      !std::isfinite(options_.initial_temperature)) {
+    throw std::invalid_argument(
+        "TemperingEngine: initial_temperature must be finite and >= 0");
+  }
+  if (options_.initial_temperature == 0.0 && options_.replicas > 1) {
+    throw std::invalid_argument(
+        "TemperingEngine: initial_temperature 0 (hill climb) needs "
+        "replicas == 1");
+  }
+  if (!(options_.cooling > 0.0) || options_.cooling > 1.0) {
+    throw std::invalid_argument("TemperingEngine: cooling must be in (0, 1]");
+  }
   if (!(options_.min_temperature > 0.0)) {
     throw std::invalid_argument(
         "TemperingEngine: min_temperature must be > 0");
@@ -86,25 +106,18 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
   core::EvaluationParams params = options_.params;
   apply_measurement_selection(options_.objective, params);
 
-  const std::uint64_t param_key = explore::hash_combine(
-      explore::hash_combine(explore::hash_analytic_params(params),
-                            explore::hash_simulation_params(params)),
-      explore::hash_traffic(options_.traffic));
-  const auto evaluate_cached =
-      [&](const core::Arrangement& arr,
-          std::shared_ptr<const noc::TopologyContext> ctx) {
-        const std::uint64_t key = explore::hash_combine(
-            explore::hash_arrangement(arr), param_key);
-        const auto compute = [&] {
-          return core::evaluate(arr, params, options_.traffic, nullptr,
-                                std::move(ctx));
-        };
-        return options_.use_cache ? cache_.get_or_compute(key, compute)
-                                  : compute();
-      };
+  // The caller keeps the candidate's topology context alive across the
+  // call, so the acquire() inside cached_evaluate is an intern hit.
+  explore::ResultCache* cache = options_.use_cache ? &cache_ : nullptr;
+  const auto evaluate = [&](const core::Arrangement& arr, char* from_cache) {
+    explore::CachedEvalOutcome outcome;
+    auto r = explore::cached_evaluate(arr, params, options_.traffic, cache,
+                                      nullptr, &outcome);
+    *from_cache = outcome.from_cache ? 1 : 0;
+    return r;
+  };
 
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint64_t cache_hits0 = cache_.hits();
   const std::uint64_t incr0 = noc::RoutingTables::incremental_builds();
 
   const std::size_t K = options_.replicas;
@@ -112,7 +125,8 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
 
   // Baseline: every replica starts from the same evaluated configuration.
   auto start_ctx = noc::TopologyContext::acquire(start.graph());
-  const core::EvaluationResult baseline = evaluate_cached(start, start_ctx);
+  char baseline_hit = 0;
+  const core::EvaluationResult baseline = evaluate(start, &baseline_hit);
   const Replica seed_replica{start, std::move(start_ctx), baseline,
                              score(options_.objective, baseline)};
 
@@ -121,23 +135,30 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
   result.best_result = seed_replica.eval;
   result.best_score = seed_replica.score;
   result.evaluations = 1;
+  result.cache_hits = static_cast<std::uint64_t>(baseline_hit);
 
   // Geometric ladder, coldest first; every rung floored so a zero/near-zero
   // baseline cannot collapse the population into K hill climbers. The
-  // hottest rung is pinned; adapt_ladder only re-spaces the rungs below it.
+  // hottest rung is pinned (up to cooling); adapt_ladder only re-spaces the
+  // rungs below it. A zero initial_temperature is the hill climb: no rung,
+  // no floor.
+  const bool hill_climb = options_.initial_temperature == 0.0;
   const double hot = std::max(
       std::abs(result.baseline_score) * options_.initial_temperature,
       options_.min_temperature);
   double ladder_ratio = options_.ladder_ratio;
   result.temperatures.resize(K);
-  const auto rebuild_ladder = [&] {
+  const auto rebuild_ladder = [&](std::size_t step) {
+    if (hill_climb) return;
+    const double cooled =
+        hot * std::pow(options_.cooling, static_cast<double>(step));
     for (std::size_t k = 0; k < K; ++k) {
       result.temperatures[k] = std::max(
-          hot * std::pow(ladder_ratio, static_cast<double>(K - 1 - k)),
+          cooled * std::pow(ladder_ratio, static_cast<double>(K - 1 - k)),
           options_.min_temperature);
     }
   };
-  rebuild_ladder();
+  rebuild_ladder(0);
 
   std::vector<Replica> replicas(K, seed_replica);
   result.trace.reserve(options_.steps * K);
@@ -147,6 +168,7 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
   for (std::size_t step = 0; step < options_.steps; ++step) {
     telemetry::Span step_span("tempering.step");
     steps_run.add();
+    rebuild_ladder(step);  // this step's cooling
     // Phase 1: propose. All nondeterminism of replica k's step flows from
     // rng[k], on this thread; the flattened batch layout is a pure function
     // of the options and the proposals.
@@ -187,6 +209,7 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
     std::vector<core::EvaluationResult> evals(slots.size());
     std::vector<std::shared_ptr<const noc::TopologyContext>> contexts(
         slots.size());
+    std::vector<char> hits(slots.size(), 0);
     std::vector<std::function<void()>> jobs;
     jobs.reserve(slots.size());
     for (std::size_t j = 0; j < slots.size(); ++j) {
@@ -195,15 +218,18 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
         contexts[j] =
             noc::TopologyContext::rebuild_from(replicas[k].ctx,
                                                cands[k][i].edit);
-        evals[j] = evaluate_cached(cands[k][i].arrangement, contexts[j]);
+        evals[j] = evaluate(cands[k][i].arrangement, &hits[j]);
         scores[j] = score(options_.objective, evals[j]);
       });
     }
     pool_.run_batch(jobs);
     result.evaluations += slots.size();
+    result.cache_hits += static_cast<std::uint64_t>(
+        std::count(hits.begin(), hits.end(), 1));
 
-    // Phase 3: per-replica Metropolis acceptance at the replica's fixed
-    // rung, coldest first, on this thread.
+    // Phase 3: per-replica Metropolis acceptance at the replica's rung,
+    // coldest first, on this thread. A zero rung (hill climb) accepts
+    // strict improvements only and draws no sample.
     const std::size_t row0 = result.trace.size();
     std::size_t slot_base = 0;
     for (std::size_t k = 0; k < K; ++k) {
@@ -224,7 +250,7 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
         rec.candidate_score = cand_score;
 
         bool accept = cand_score > replicas[k].score;
-        if (!accept) {
+        if (!accept && rec.temperature > 0.0) {
           const double p = std::exp((cand_score - replicas[k].score) /
                                     rec.temperature);
           accept = rng[k].uniform() < p;
@@ -299,7 +325,7 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
                                     (options_.target_exchange_acceptance -
                                      acceptance)),
             0.05, 0.98);
-        rebuild_ladder();
+        rebuild_ladder(step);
       }
     }
 
@@ -328,7 +354,6 @@ TemperingResult TemperingEngine::run(const core::Arrangement& start) {
   for (std::size_t k = 0; k < K; ++k) {
     result.replica_scores[k] = replicas[k].score;
   }
-  result.cache_hits = cache_.hits() - cache_hits0;
   result.incremental_rebuilds =
       noc::RoutingTables::incremental_builds() - incr0;
   result.wall_seconds = std::chrono::duration<double>(
@@ -390,7 +415,15 @@ std::string trace_to_json(const std::vector<TemperingStep>& trace) {
 
 void export_trace_file(const std::string& path,
                        const std::vector<TemperingStep>& trace) {
-  detail::export_trace(path, trace, &write_trace_csv, &write_trace_json);
+  std::ofstream os(path);
+  if (!os) {
+    throw std::runtime_error("export_trace_file: cannot open " + path);
+  }
+  if (path.size() >= 5 && path.substr(path.size() - 5) == ".json") {
+    write_trace_json(os, trace);
+  } else {
+    write_trace_csv(os, trace);
+  }
 }
 
 }  // namespace hm::search

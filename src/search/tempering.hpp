@@ -1,36 +1,49 @@
-// Population-based parallel-tempering search over chiplet arrangements.
+// Arrangement search: hill climbing, simulated annealing and
+// population-based parallel tempering, all in one engine.
 //
-// Where search/search.hpp runs ONE chain (hill climb or a cooling anneal),
-// TemperingEngine runs K replicas of the same mutation/evaluate pipeline
-// concurrently, each at a temperature of a geometric ladder:
+// The sweep engine (explore/sweep.hpp) *enumerates* the three fixed
+// arrangement families; TemperingEngine *searches* the wider space of
+// (site occupancy, link subset) states around a start arrangement with the
+// mutation operators of search/mutation.hpp. Every candidate is scored
+// through explore::cached_evaluate, the same cached Sec. VI pipeline the
+// sweeps and hm_server use, so a design lands under one cache/store key
+// whichever tool evaluated it.
 //
-//     T_k = max(T_hot * ladder_ratio^(K-1-k), min_temperature)
+// The engine runs K replicas, each at a rung of a geometric ladder that
+// cools by `cooling` per step s:
 //
-// With adapt_ladder (the default) the spacing self-tunes: after each
-// exchange sweep the ratio moves toward the value that keeps adjacent
-// replicas swapping at target_exchange_acceptance, deterministically,
-// from the sweep's own (deterministic) acceptance count.
+//     T_k(s) = max(T_hot * ladder_ratio^(K-1-k) * cooling^s, min_temperature)
 //
 // with replica K-1 the hottest (T_hot = |baseline| * initial_temperature,
-// floored) and replica 0 the coldest, near-greedy one. Hot replicas cross
-// score barriers the cold ones cannot; every `exchange_interval` steps
-// adjacent replicas attempt a configuration swap with the classical
-// Metropolis exchange rule
+// floored) and replica 0 the coldest. Three modes share this code path:
 //
-//     p = min(1, exp((1/T_cold - 1/T_hot) * (S_hot - S_cold)))
+//   * hill climb (K = 1, initial_temperature = 0): every rung is 0, so only
+//     strictly improving candidates are accepted and no Metropolis sample
+//     is drawn;
+//   * simulated annealing (K = 1, cooling < 1): one chain whose temperature
+//     decays geometrically down to the floor;
+//   * parallel tempering (K > 1): hot replicas cross score barriers the
+//     cold ones cannot; every `exchange_interval` steps adjacent replicas
+//     attempt a configuration swap with the classical Metropolis exchange
+//     rule
 //
-// so improvements found at high temperature percolate down to the cold
-// replica while the population keeps exploring. Alternating even/odd pair
-// sweeps let a configuration traverse the whole ladder.
+//         p = min(1, exp((1/T_cold - 1/T_hot) * (S_hot - S_cold)))
 //
-// Everything heavy is reused from the earlier PRs: candidate evaluations
-// fan out across one explore::ThreadPool (per-worker SimulationArena
-// networks, sharded explore::ResultCache memoization), and each candidate's
-// routing tables are delta-built from its replica's current context via
-// noc::TopologyContext::rebuild_from.
+//     so improvements found at high temperature percolate down to the cold
+//     replica. Alternating even/odd pair sweeps let a configuration
+//     traverse the whole ladder. With adapt_ladder (the default) the
+//     spacing self-tunes: after each exchange sweep the ratio moves toward
+//     the value that keeps adjacent replicas swapping at
+//     target_exchange_acceptance, deterministically, from the sweep's own
+//     acceptance count.
 //
-// Determinism contract (mirrors SearchEngine, pinned by test_tempering):
-// replica k's proposal/acceptance RNG for step s is seeded
+// Candidate evaluations fan out across one explore::ThreadPool (per-worker
+// SimulationArena networks, sharded explore::ResultCache memoization), and
+// each candidate's routing tables are delta-built from its replica's
+// current context via noc::TopologyContext::rebuild_from.
+//
+// Determinism contract (pinned by test_tempering and test_search): replica
+// k's proposal/acceptance RNG for step s is seeded
 // derive_seed(derive_seed(seed, kReplicaSalt + k), s); the exchange RNG for
 // (step s, pair p) is seeded
 // derive_seed(derive_seed(derive_seed(seed, kExchangeSalt), s), p). All
@@ -59,7 +72,8 @@ namespace hm::search {
 struct TemperingProgress;
 
 struct TemperingOptions {
-  /// Replica count K (>= 1; K == 1 is a single fixed-temperature chain).
+  /// Replica count K (>= 1; K == 1 is a single chain: a hill climb or an
+  /// anneal, see the file comment).
   std::size_t replicas = 4;
 
   /// Mutation steps; every step advances all K replicas by one
@@ -67,8 +81,8 @@ struct TemperingOptions {
   /// K * candidates_per_step evaluations).
   std::size_t steps = 48;
 
-  /// Candidates per replica per step. Like SearchOptions, fixed by the
-  /// options — never the thread count — so traces are thread-independent.
+  /// Candidates per replica per step, fixed by the options — never the
+  /// thread count — so traces are thread-independent.
   std::size_t candidates_per_step = 2;
 
   /// Proposal redraws per candidate slot before the slot is skipped.
@@ -78,13 +92,15 @@ struct TemperingOptions {
   /// between sweeps (0-1/2-3/... then 1-2/3-4/...).
   std::size_t exchange_interval = 4;
 
-  /// Hottest-replica temperature as a fraction of |baseline score| (same
-  /// design-independent semantics as SearchOptions::initial_temperature),
-  /// the geometric ladder ratio between adjacent replicas (in (0, 1]), and
-  /// the absolute floor every rung is clamped to (> 0; keeps the ladder
-  /// meaningful when the baseline score is zero or near zero).
+  /// Hottest-replica temperature as a fraction of |baseline score| (so the
+  /// knob is design-independent; 0 = hill climb, which needs replicas == 1),
+  /// the geometric ladder ratio between adjacent replicas (in (0, 1]), the
+  /// per-step decay of every rung (in (0, 1]; 1 = fixed ladder), and the
+  /// absolute floor every positive rung is clamped to (> 0; keeps the
+  /// ladder meaningful when the baseline score is zero or near zero).
   double initial_temperature = 0.08;
   double ladder_ratio = 0.5;
+  double cooling = 1.0;
   double min_temperature = 1e-9;
 
   /// Adapt `ladder_ratio` between exchange sweeps: after each sweep the
@@ -104,7 +120,8 @@ struct TemperingOptions {
   unsigned threads = 0;
   bool use_cache = true;
   /// Directory of a persistent store::ResultStore attached under the
-  /// result cache (empty = memory only); see SearchOptions::cache_dir.
+  /// result cache (empty = memory only). Re-searching a neighbourhood with
+  /// a warm store serves revisited states from disk instead of simulating.
   std::string cache_dir;
 
   /// Base of every RNG derivation (see the determinism contract above).
@@ -127,6 +144,7 @@ struct TemperingStep {
   std::size_t step = 0;
   std::size_t replica = 0;
   double temperature = 0.0;  ///< this replica's (floored) rung at this step
+                             ///< (0 = hill climb)
   MutationKind kind = MutationKind::kNone;  ///< selected candidate's op
   std::size_t candidates = 0;  ///< legal proposals evaluated this step
   bool accepted = false;       ///< candidate became the replica's state
@@ -160,8 +178,9 @@ struct TemperingResult {
   double baseline_score = 0.0;
 
   /// Temperature ladder in effect when the run ended, coldest first (after
-  /// flooring). With adapt_ladder the spacing may differ from the initial
-  /// ladder_ratio; trace rows carry the rung each step actually used.
+  /// cooling and flooring; all zero for a hill climb). With adapt_ladder
+  /// the spacing may differ from the initial ladder_ratio; trace rows carry
+  /// the rung each step actually used.
   std::vector<double> temperatures;
   /// Ladder ratio in effect when the run ended (== options.ladder_ratio
   /// unless adapt_ladder moved it).
@@ -177,14 +196,14 @@ struct TemperingResult {
 
   // Observability; timing-dependent under concurrency, excluded from the
   // trace exports.
-  std::size_t evaluations = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t incremental_rebuilds = 0;
+  std::size_t evaluations = 0;     ///< simulated or cache-served scores
+  std::uint64_t cache_hits = 0;    ///< evaluations served from the cache
+  std::uint64_t incremental_rebuilds = 0;  ///< delta-built routing tables
   double wall_seconds = 0.0;
 };
 
-/// Runs parallel tempering from a start arrangement (all replicas start
-/// there; they decorrelate through their per-replica RNG streams).
+/// Searches from a start arrangement (all replicas start there; they
+/// decorrelate through their per-replica RNG streams).
 class TemperingEngine {
  public:
   TemperingEngine();
@@ -206,8 +225,9 @@ class TemperingEngine {
   explore::ResultCache cache_;
 };
 
-/// Trace serialization, mirroring search/search.hpp: deterministic fields
-/// only, shortest-round-trip doubles.
+/// Trace serialization, mirroring explore/export.hpp: deterministic fields
+/// only, shortest-round-trip doubles, so traces compare byte-for-byte
+/// across thread counts.
 void write_trace_csv(std::ostream& os, const std::vector<TemperingStep>& trace);
 [[nodiscard]] std::string trace_to_csv(const std::vector<TemperingStep>& trace);
 void write_trace_json(std::ostream& os,

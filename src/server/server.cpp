@@ -20,7 +20,7 @@
 #include "explore/cached_eval.hpp"
 #include "explore/export.hpp"
 #include "explore/sweep.hpp"
-#include "search/search.hpp"
+#include "search/tempering.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
 #include "telemetry/telemetry.hpp"
@@ -448,14 +448,18 @@ void Server::handle_search(const PendingRequest& req, Status* status,
     return;
   }
   try {
-    search::SearchOptions opt;
+    // A hill climb: one replica at zero temperature.
+    search::TemperingOptions opt;
+    opt.replicas = 1;
+    opt.initial_temperature = 0.0;
+    opt.candidates_per_step = 4;
     opt.steps = static_cast<std::size_t>(parsed->steps);
     opt.seed = parsed->seed;
     opt.threads = options_.threads;
     opt.cache_dir = options_.cache_dir;
     opt.params = options_.params;
     opt.traffic = options_.traffic;
-    search::SearchEngine engine(opt);
+    search::TemperingEngine engine(opt);
     const auto res = engine.run(core::make_arrangement(
         parsed->type, static_cast<std::size_t>(parsed->chiplet_count)));
 

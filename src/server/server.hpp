@@ -12,7 +12,9 @@
 // round-robin. A single dispatcher thread pops fair batches, fans the
 // batch's evaluate requests out across the shared ThreadPool (each through
 // explore::cached_evaluate against the warm cache/store), runs sweep and
-// search requests one at a time (they parallelize internally), and writes
+// search requests one at a time (they parallelize internally; a search is
+// a one-replica hill climb of search/tempering.hpp, its candidates scored
+// through the same cached_evaluate keys), and writes
 // replies back in batch order — which is FIFO per client, so pipelined
 // clients read replies in the order they sent requests. Ping, stats and
 // shutdown are answered inline on the reader thread.

@@ -10,6 +10,7 @@
 
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
+#include "explore/cached_eval.hpp"
 #include "explore/export.hpp"
 #include "explore/hash.hpp"
 #include "explore/result_cache.hpp"
@@ -346,6 +347,32 @@ TEST(ParallelEvaluate, MeasurementSelectionFlags) {
   const auto sat_only = core::evaluate(arr, params);
   EXPECT_EQ(sat_only.zero_load_latency_cycles, 0.0);
   EXPECT_GT(sat_only.saturation_fraction, 0.0);
+}
+
+TEST(CachedEvaluate, RunsTheFaultScenarioWithBothMeasurementsOff) {
+  // The parameters a robust-throughput search evaluates under: no latency
+  // or saturation run, only the fault scenario. The cached evaluation must
+  // not treat that as analytic-only.
+  const auto arr = core::make_arrangement(core::ArrangementType::kHexaMesh, 7);
+  auto params = tiny_sim_params();
+  params.measure_latency = false;
+  params.measure_saturation = false;
+  params.faults.single_link_kills = 2;
+  const auto direct = core::evaluate(arr, params);
+  ASSERT_EQ(direct.fault_plans_run, 2u);
+  ASSERT_GT(direct.fault_robust_throughput_bps, 0.0);
+
+  ResultCache shared;
+  for (ResultCache* cache : {static_cast<ResultCache*>(nullptr), &shared}) {
+    CachedEvalOutcome outcome;
+    const auto cached = cached_evaluate(arr, params, {}, cache, nullptr,
+                                        &outcome);
+    EXPECT_FALSE(outcome.analytic_only);
+    EXPECT_EQ(cached.fault_plans_run, direct.fault_plans_run);
+    EXPECT_EQ(cached.fault_robust_throughput_bps,
+              direct.fault_robust_throughput_bps);
+    EXPECT_EQ(cached.fault_packets_lost, direct.fault_packets_lost);
+  }
 }
 
 // ----------------------------------------------------------------- export

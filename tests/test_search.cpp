@@ -2,25 +2,34 @@
 // lattice family, incremental-vs-full RoutingTables equivalence across
 // random edit sequences (the byte-identical rebuild contract of
 // TopologyContext::rebuild_from), intern-cache interchangeability of
-// delta-built and from-scratch contexts, thread-count-independent search
-// traces, and the annealing monotonic-best invariant.
+// delta-built and from-scratch contexts, and the single-chain modes of the
+// search engine (one-replica hill climb and anneal): thread-count-independent
+// traces, the annealing monotonic-best invariant, robust-objective scoring
+// and cache keys shared with explore::cached_evaluate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/arrangement.hpp"
 #include "cost/cost_model.hpp"
+#include "explore/cached_eval.hpp"
+#include "explore/result_cache.hpp"
 #include "graph/algorithms.hpp"
 #include "noc/rng.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
 #include "search/mutation.hpp"
-#include "search/search.hpp"
+#include "search/tempering.hpp"
+#include "store/result_store.hpp"
 
 namespace {
 
@@ -34,6 +43,8 @@ using hm::noc::TopologyContext;
 using hm::search::Candidate;
 using hm::search::MutationKind;
 using hm::search::propose_mutation;
+using hm::search::TemperingEngine;
+using hm::search::TemperingOptions;
 
 const ArrangementType kFamilies[] = {ArrangementType::kGrid,
                                      ArrangementType::kBrickwall,
@@ -284,10 +295,13 @@ TEST(IncrementalRebuild, RebuildFromInternsWithAcquire) {
                std::invalid_argument);
 }
 
-// --- SearchEngine --------------------------------------------------------------
+// --- Single-chain search ------------------------------------------------------
 
-hm::search::SearchOptions fast_options() {
-  hm::search::SearchOptions opt;
+/// A one-replica hill climb (zero temperature) at interactive-speed windows.
+TemperingOptions fast_options() {
+  TemperingOptions opt;
+  opt.replicas = 1;
+  opt.initial_temperature = 0.0;
   opt.steps = 4;
   opt.candidates_per_step = 3;
   opt.seed = 7;
@@ -298,12 +312,20 @@ hm::search::SearchOptions fast_options() {
   return opt;
 }
 
-TEST(SearchEngine, TraceIsThreadCountIndependent) {
+/// fast_options() turned into a cooling anneal.
+TemperingOptions anneal_options() {
+  auto opt = fast_options();
+  opt.initial_temperature = 0.02;
+  opt.cooling = 0.92;
+  return opt;
+}
+
+TEST(SingleChain, TraceIsThreadCountIndependent) {
   std::string reference;
   for (const unsigned threads : {1u, 4u, 8u}) {
     auto opt = fast_options();
     opt.threads = threads;
-    hm::search::SearchEngine engine(opt);
+    TemperingEngine engine(opt);
     const auto res =
         engine.run(make_arrangement(ArrangementType::kGrid, 9));
     const std::string csv = hm::search::trace_to_csv(res.trace);
@@ -316,10 +338,10 @@ TEST(SearchEngine, TraceIsThreadCountIndependent) {
   }
 }
 
-TEST(SearchEngine, HillClimbAcceptsOnlyImprovements) {
+TEST(SingleChain, HillClimbAcceptsOnlyImprovements) {
   auto opt = fast_options();
   opt.steps = 6;
-  hm::search::SearchEngine engine(opt);
+  TemperingEngine engine(opt);
   const auto res =
       engine.run(make_arrangement(ArrangementType::kBrickwall, 12));
   double current = res.baseline_score;
@@ -331,18 +353,18 @@ TEST(SearchEngine, HillClimbAcceptsOnlyImprovements) {
     }
     // Under hill climbing the current state is always the best state.
     EXPECT_EQ(s.current_score, s.best_score);
+    EXPECT_EQ(s.temperature, 0.0);
     current = s.current_score;
   }
   EXPECT_GE(res.best_score, res.baseline_score);
 }
 
-TEST(SearchEngine, AnnealMonotonicBestInvariant) {
-  auto opt = fast_options();
-  opt.schedule = hm::search::Schedule::kAnneal;
+TEST(SingleChain, AnnealMonotonicBestInvariant) {
+  auto opt = anneal_options();
   opt.steps = 8;
   opt.candidates_per_step = 2;
   opt.initial_temperature = 0.05;
-  hm::search::SearchEngine engine(opt);
+  TemperingEngine engine(opt);
   const auto res =
       engine.run(make_arrangement(ArrangementType::kHexaMesh, 13));
 
@@ -361,14 +383,14 @@ TEST(SearchEngine, AnnealMonotonicBestInvariant) {
   EXPECT_EQ(res.best_result.saturation_throughput_bps, res.best_score);
 }
 
-TEST(SearchEngine, ZeroBaselineAnnealKeepsMetropolisAlive) {
+TEST(SingleChain, ZeroBaselineAnnealKeepsMetropolisAlive) {
   // Regression: the annealing temperature is scaled by |baseline_score|,
   // so a zero baseline used to collapse the temperature to ~0 and silently
-  // degenerate kAnneal into hill climbing (strictly-worse candidates were
-  // never accepted). The absolute min_temperature floor keeps acceptance
-  // alive; the trace records the effective (floored) temperature.
-  auto opt = fast_options();
-  opt.schedule = hm::search::Schedule::kAnneal;
+  // degenerate the anneal into hill climbing (strictly-worse candidates
+  // were never accepted). The absolute min_temperature floor keeps
+  // acceptance alive; the trace records the effective (floored)
+  // temperature.
+  auto opt = anneal_options();
   opt.steps = 10;
   opt.candidates_per_step = 1;  // no best-of-batch bias toward ties
   opt.seed = 3;
@@ -381,7 +403,7 @@ TEST(SearchEngine, ZeroBaselineAnnealKeepsMetropolisAlive) {
   opt.objective.custom = [start_links](const hm::core::EvaluationResult& r) {
     return static_cast<double>(r.link_count) - start_links;
   };
-  hm::search::SearchEngine engine(opt);
+  TemperingEngine engine(opt);
   const auto res = engine.run(start);
 
   EXPECT_EQ(res.baseline_score, 0.0);
@@ -390,7 +412,9 @@ TEST(SearchEngine, ZeroBaselineAnnealKeepsMetropolisAlive) {
     // The floor is the effective temperature (0 * cooling^step < floor)
     // and the trace makes that visible.
     EXPECT_DOUBLE_EQ(s.temperature, opt.min_temperature);
-    EXPECT_TRUE(s.temperature_floored);
+    EXPECT_LT(std::abs(res.baseline_score) * opt.initial_temperature *
+                  std::pow(opt.cooling, static_cast<double>(s.step)),
+              opt.min_temperature);
     min_current = std::min(min_current, s.current_score);
   }
   // Metropolis accepted a strictly-worse candidate (exp(-1/0.75) ~ 0.26
@@ -398,6 +422,72 @@ TEST(SearchEngine, ZeroBaselineAnnealKeepsMetropolisAlive) {
   // behavior the pre-floor code could never exhibit at zero baseline.
   EXPECT_LT(min_current, 0.0);
   EXPECT_GE(res.best_score, res.baseline_score);
+}
+
+TEST(SingleChain, AnnealRungCoolsGeometrically) {
+  auto opt = anneal_options();
+  opt.steps = 3;
+  TemperingEngine engine(opt);
+  const auto res =
+      engine.run(make_arrangement(ArrangementType::kHexaMesh, 13));
+  const double hot = std::abs(res.baseline_score) * opt.initial_temperature;
+  ASSERT_GT(hot, opt.min_temperature);
+  for (const auto& s : res.trace) {
+    EXPECT_DOUBLE_EQ(s.temperature,
+                     hot * std::pow(opt.cooling, static_cast<double>(s.step)));
+  }
+}
+
+TEST(SingleChain, RobustSearchScoresUnderTheFaultScenario) {
+  // The robust objective reads only the fault-scenario fields, so both
+  // measurement flags are off; the cached evaluation must still run the
+  // scenario or every candidate would score nothing.
+  std::string reference;
+  for (const unsigned threads : {1u, 4u}) {
+    auto opt = fast_options();
+    opt.steps = 2;
+    opt.candidates_per_step = 2;
+    opt.threads = threads;
+    opt.objective = hm::search::Objective::kRobustThroughput;
+    TemperingEngine engine(opt);
+    const auto res = engine.run(make_arrangement(ArrangementType::kGrid, 9));
+    EXPECT_GT(res.baseline_score, 0.0);
+    EXPECT_GT(res.baseline_result.fault_plans_run, 0u);
+    EXPECT_EQ(res.baseline_score,
+              res.baseline_result.fault_robust_throughput_bps);
+    const std::string csv = hm::search::trace_to_csv(res.trace);
+    if (reference.empty()) {
+      reference = csv;
+    } else {
+      EXPECT_EQ(csv, reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(SingleChain, SearchResultsShareTheSweepCacheKey) {
+  // A design the search evaluated is a cache hit for every other
+  // cached_evaluate caller (sweep, hm_server) under the same params.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("hm_search_key_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  auto opt = fast_options();
+  opt.steps = 2;
+  opt.cache_dir = dir.string();
+  hm::core::Arrangement best = make_arrangement(ArrangementType::kGrid, 9);
+  {
+    TemperingEngine engine(opt);
+    best = engine.run(best).best;
+  }
+
+  hm::core::EvaluationParams params = opt.params;
+  hm::search::apply_measurement_selection(opt.objective, params);
+  hm::explore::ResultCache cache;
+  cache.attach_store(hm::store::ResultStore::open(dir.string()));
+  hm::explore::CachedEvalOutcome outcome;
+  (void)hm::explore::cached_evaluate(best, params, opt.traffic, &cache,
+                                     nullptr, &outcome);
+  EXPECT_TRUE(outcome.from_cache);
+  std::filesystem::remove_all(dir);
 }
 
 // --- Multi-objective scoring ----------------------------------------------------
@@ -462,36 +552,50 @@ TEST(Objective, CustomScoreOverridesKindAndSelectsBothMeasurements) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
-TEST(SearchEngine, ProgressAndTraceExports) {
+TEST(SingleChain, ProgressAndTraceExports) {
   auto opt = fast_options();
   opt.steps = 3;
   std::size_t calls = 0;
-  opt.on_progress = [&](const hm::search::SearchProgress& p) {
+  opt.on_progress = [&](const hm::search::TemperingProgress& p) {
     ++calls;
     EXPECT_EQ(p.step, calls);
     EXPECT_EQ(p.total, 3u);
-    ASSERT_NE(p.last, nullptr);
+    ASSERT_NE(p.first, nullptr);
   };
-  hm::search::SearchEngine engine(opt);
+  TemperingEngine engine(opt);
   const auto res = engine.run(make_arrangement(ArrangementType::kGrid, 8));
   EXPECT_EQ(calls, 3u);
 
   const std::string csv = hm::search::trace_to_csv(res.trace);
-  EXPECT_NE(csv.find("step,mutation,candidates"), std::string::npos);
+  EXPECT_NE(csv.find("step,replica,temperature,mutation,candidates"),
+            std::string::npos);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);  // header + 3 rows
   const std::string json = hm::search::trace_to_json(res.trace);
   EXPECT_NE(json.find("\"best_score\""), std::string::npos);
 }
 
-TEST(SearchEngine, RejectsDegenerateInputs) {
-  hm::search::SearchEngine engine{hm::search::SearchOptions{}};
+TEST(SingleChain, RejectsDegenerateInputs) {
+  TemperingEngine engine(fast_options());
   EXPECT_THROW((void)engine.run(make_arrangement(ArrangementType::kGrid, 1)),
                std::invalid_argument);
-  auto bad = hm::search::SearchOptions{};
+  const auto start = make_arrangement(ArrangementType::kGrid, 9);
+  auto bad = fast_options();
   bad.candidates_per_step = 0;
-  hm::search::SearchEngine engine2(bad);
-  EXPECT_THROW((void)engine2.run(make_arrangement(ArrangementType::kGrid, 9)),
-               std::invalid_argument);
+  TemperingEngine engine2(bad);
+  EXPECT_THROW((void)engine2.run(start), std::invalid_argument);
+  // A hill climb (zero temperature) is a single chain only.
+  bad = fast_options();
+  bad.replicas = 2;
+  EXPECT_THROW((void)TemperingEngine(bad).run(start), std::invalid_argument);
+  for (const double cooling : {0.0, 1.5}) {
+    bad = anneal_options();
+    bad.cooling = cooling;
+    EXPECT_THROW((void)TemperingEngine(bad).run(start),
+                 std::invalid_argument);
+  }
+  bad = fast_options();
+  bad.initial_temperature = -0.1;
+  EXPECT_THROW((void)TemperingEngine(bad).run(start), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // hm_server contracts (src/server/): wire-protocol codec strictness, the
 // request queue's round-robin fairness + admission control, and a live
-// loopback server exercised over a Unix socket — determinism of evaluate
-// and sweep replies, malformed-frame survival, and clean shutdown.
+// loopback server exercised over a Unix socket — determinism of evaluate,
+// sweep and search replies, malformed-frame survival, and clean shutdown.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -355,6 +355,54 @@ TEST_F(LoopbackServer, SweepRepliesAreDeterministicCsv) {
   EXPECT_NE(csv.find("arrangement"), std::string::npos);  // header row
   // One row per (type, count) pair plus the header.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
+}
+
+TEST_F(LoopbackServer, SearchRepliesDecodeAndMatchAcrossThreadCounts) {
+  SearchRequest req;
+  req.type = hm::core::ArrangementType::kHexaMesh;
+  req.chiplet_count = 7;
+  req.steps = 2;
+  req.seed = 5;
+  std::vector<std::uint8_t> payload;
+  encode_search_request(req, payload);
+
+  // The fixture's server keeps paper-length windows; a search request
+  // simulates every candidate, so run it on servers with short windows.
+  std::vector<std::vector<std::uint8_t>> bodies;
+  for (const unsigned threads : {1u, 4u}) {
+    ServerOptions opt;
+    opt.unix_path = (dir_ / ("search" + std::to_string(threads) + ".sock"))
+                        .string();
+    opt.threads = threads;
+    opt.params.throughput_warmup = 250;
+    opt.params.throughput_measure = 250;
+    Server server(opt);
+    server.start();
+    const int fd = connect_unix(opt.unix_path);
+    ASSERT_GE(fd, 0);
+    const auto reply = roundtrip(fd, Command::kSearch, payload);
+    ::close(fd);
+    server.stop();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply_status(*reply), Status::kOk);
+    bodies.push_back(reply_body(*reply));
+  }
+  EXPECT_EQ(bodies[0], bodies[1]);
+
+  const auto& body = bodies[0];
+  hm::util::ByteReader rd(body.data(), body.size());
+  const double best = rd.f64();
+  const double baseline = rd.f64();
+  const std::uint64_t evaluations = rd.u64();
+  ASSERT_TRUE(rd.ok());
+  EXPECT_GT(baseline, 0.0);
+  EXPECT_GE(best, baseline);
+  EXPECT_GT(evaluations, 1u);
+  const auto result = hm::store::decode_result(
+      body.data() + (body.size() - rd.remaining()), rd.remaining());
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->chiplet_count, req.chiplet_count);
+  EXPECT_EQ(result->saturation_throughput_bps, best);
 }
 
 TEST_F(LoopbackServer, UndecodableRequestBodyIsBadRequestNotDeath) {
