@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arrangement.hpp"
@@ -105,6 +107,20 @@ void bench_tables() {
   }
 }
 
+/// Steps `net` through `cycles` cycles from `now`, every endpoint rolling
+/// for a packet each cycle.
+void run_cycles(hm::noc::Network& net, hm::noc::UniformRandomTraffic& traffic,
+                hm::noc::Rng& rng, hm::noc::Cycle& now, int cycles) {
+  for (int c = 0; c < cycles; ++c) {
+    for (std::size_t e = 0; e < net.num_endpoints(); ++e) {
+      auto p = traffic.maybe_generate(static_cast<std::uint16_t>(e), now, rng);
+      if (p.has_value()) net.offer_packet(e, *p);
+    }
+    net.step(now);
+    ++now;
+  }
+}
+
 void bench_simulator_cycles() {
   // Cycle rate of a saturated HexaMesh network (routers + endpoints). Under
   // saturation nearly everything is busy, so this measures the worklist
@@ -123,18 +139,38 @@ void bench_simulator_cycles() {
     const int cycles_per_rep =
         n >= 271 ? (g_smoke ? 500 : 3000) : (g_smoke ? 2000 : 20000);
     auto run = [&] {
-      for (int c = 0; c < cycles_per_rep; ++c) {
-        for (std::size_t e = 0; e < sim.network().num_endpoints(); ++e) {
-          auto p =
-              traffic.maybe_generate(static_cast<std::uint16_t>(e), now, rng);
-          if (p.has_value()) sim.network().offer_packet(e, *p);
-        }
-        sim.network().step(now);
-        ++now;
-      }
+      run_cycles(sim.network(), traffic, rng, now, cycles_per_rep);
     };
     report("sim_cycle.n" + std::to_string(n),
            time_median(run, g_smoke ? 0.05 : 0.5, 3), cycles_per_rep);
+  }
+}
+
+void bench_simulator_work() {
+  // Exact, host-independent work counts of the saturated n91 cycle loop:
+  // a fixed-length run on a fresh network (the timed loop above repeats a
+  // host-dependent number of times, so its counts are not comparable).
+  // Same in --smoke and full mode; check_perf_regression.py fails on any
+  // change to a work.* key.
+  const auto arr = make_arrangement(ArrangementType::kHexaMesh, 91);
+  hm::noc::SimConfig cfg;
+  hm::noc::Simulator sim(hm::noc::TopologyContext::acquire(arr.graph()), cfg);
+  hm::noc::Network& net = sim.network();
+  hm::noc::UniformRandomTraffic traffic(net.num_endpoints(), 1.0,
+                                        cfg.packet_length);
+  hm::noc::Rng rng(1);
+  hm::noc::Cycle now = 0;
+  run_cycles(net, traffic, rng, now, 2000);
+  const hm::noc::Network::HotStats hs = net.hot_stats();
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"work.sim_cycle.n91.router_steps", hs.router_steps},
+      {"work.sim_cycle.n91.flits_routed", hs.routers.flits_routed},
+      {"work.sim_cycle.n91.heads_revoked", hs.routers.heads_revoked},
+      {"work.sim_cycle.n91.va_stall_cycles", hs.routers.va_stall_cycles},
+  };
+  for (const auto& [key, value] : counts) {
+    std::printf("%-36s %12llu\n", key, static_cast<unsigned long long>(value));
+    g_metrics[key] = static_cast<double>(value);
   }
 }
 
@@ -354,6 +390,7 @@ int main(int argc, char** argv) {
   bench_graph();
   bench_tables();
   bench_simulator_cycles();
+  bench_simulator_work();
   bench_simulator_lowload();
   bench_saturation_probes();
   bench_evaluate_analytic();

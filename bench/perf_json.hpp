@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -61,8 +62,11 @@ inline void store_perf_json(const std::string& path,
   os << "{\n";
   std::size_t i = 0;
   for (const auto& [k, v] : m) {
+    // Integral values (work counts) print exactly; timings keep 6 digits.
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    std::snprintf(buf, sizeof(buf),
+                  v == std::floor(v) && std::fabs(v) < 1e15 ? "%.0f" : "%.6g",
+                  v);
     os << "  \"" << k << "\": " << buf
        << (++i < m.size() ? ",\n" : "\n");
   }

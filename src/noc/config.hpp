@@ -43,10 +43,13 @@ struct SimConfig {
   /// requests the always-draining escape network) while preventing the
   /// escape tree root from becoming the bottleneck at saturation.
   int escape_threshold = 20;
-  /// Switch-allocation iterations per cycle (iSLIP-style). Each iteration
-  /// matches unmatched output ports to unmatched input ports; more
-  /// iterations raise crossbar matching quality, which matters most for the
-  /// high-radix (degree-6) brickwall/HexaMesh routers.
+  /// Switch-allocation iterations per cycle (iSLIP-style). The router's
+  /// allocator matches output ports to input ports greedily in one pass,
+  /// which is already maximal: a further pass could never add a grant, so
+  /// every value >= 1 simulates identically (test_router_busy_path pins 1
+  /// and 2 to the same results) and the router runs one pass. Kept as a
+  /// validated field so configs, cache keys and stored results stay as
+  /// they are.
   int sa_iterations = 2;
   RoutingMode routing = RoutingMode::kMinimalAdaptive;
   /// Active-set stepping: Network::step walks only routers/links/endpoints

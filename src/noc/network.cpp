@@ -258,24 +258,14 @@ void Network::step_active(Cycle now) {
   for (std::size_t i = 0; i < active_routers_.size();) {
     const std::uint32_t r = active_routers_[i];
     routers_[r].step(now);
-    // Arm exactly what this step pushed: the SA scratch records which out
-    // ports sent a flit and which in ports granted (and so returned a
-    // credit); the target tables map those ports straight to worklist
-    // entries. Channels still carrying older traffic are already armed —
-    // a channel only leaves its worklist when fully drained.
-    const std::vector<char>& outs = routers_[r].out_ports_pushed();
-    const std::vector<char>& ins = routers_[r].in_ports_granted();
-    for (std::size_t p = 0; p < outs.size(); ++p) {
-      if (outs[p] != 0) {
-        const std::uint32_t t = out_flit_target_[r][p];
-        if ((t & kChanBit) != 0) {
-          arm(active_chans_, chan_active_, t & ~kChanBit);
-        } else {
-          arm(active_links_, link_active_, t);
-        }
-      }
-      if (ins[p] != 0) {
-        const std::uint32_t t = in_credit_target_[r][p];
+    // Arm exactly what this step pushed: each grant pushed a flit out of
+    // its output port and returned a credit through its input port; the
+    // target tables map those ports straight to worklist entries. Channels
+    // still carrying older traffic are already armed — a channel only
+    // leaves its worklist when fully drained.
+    for (const Router::Grant& g : routers_[r].grants()) {
+      for (const std::uint32_t t : {out_flit_target_[r][g.out_port],
+                                    in_credit_target_[r][g.in_port]}) {
         if ((t & kChanBit) != 0) {
           arm(active_chans_, chan_active_, t & ~kChanBit);
         } else {

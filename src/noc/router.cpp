@@ -11,6 +11,9 @@ namespace {
 /// Stream salt separating per-router arbitration streams from every other
 /// consumer of derive_seed(cfg.seed, ...) (traffic streams, per-job seeds).
 constexpr std::uint64_t kRouterStreamSalt = 0x9061747552746572ULL;
+/// Credits of an ejection output VC: never exhausted (SA never decrements
+/// them), so ejection requesters are always grantable.
+constexpr int kEjectionCredits = 1 << 30;
 }  // namespace
 
 Router::Router(std::uint32_t id, const SimConfig& cfg,
@@ -32,10 +35,10 @@ Router::Router(std::uint32_t id, const SimConfig& cfg,
   for (std::size_t p = 0; p < n_ports_; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
       // Network outputs start with the downstream buffer depth; ejection
-      // outputs are modelled with effectively infinite credits (the endpoint
-      // always sinks flits; the port still serializes 1 flit/cycle).
+      // outputs are modelled with unbounded credits (the endpoint always
+      // sinks flits; the port still serializes 1 flit/cycle).
       out_[static_cast<std::size_t>(flat(p, v))].credits =
-          p < n_network_ports_ ? cfg_.buffer_depth : (1 << 30);
+          p < n_network_ports_ ? cfg_.buffer_depth : kEjectionCredits;
     }
   }
   out_channel_.assign(n_ports_, nullptr);
@@ -43,14 +46,35 @@ Router::Router(std::uint32_t id, const SimConfig& cfg,
   credit_channel_.assign(n_ports_, nullptr);
   credit_latency_.assign(n_ports_, 1);
   sa_in_rr_.assign(n_ports_, 0);
-  sa_in_port_used_.assign(n_ports_, 0);
-  sa_out_port_used_.assign(n_ports_, 0);
+  grants_.assign(n_ports_, Grant{});
   mask_words_ = (n_ports_ * vcs + 63) / 64;
+  sa_in_used_mask_.assign(mask_words_, 0);
+  port_vc_mask_.assign(n_ports_ * mask_words_, 0);
+  for (std::size_t p = 0; p < n_ports_; ++p) {
+    for (int v = 0; v < cfg_.vcs; ++v) {
+      const int idx = flat(p, v);
+      port_vc_mask_[word_of(p, idx)] |= bit_of(idx);
+    }
+  }
   sa_request_mask_.assign(n_ports_ * mask_words_, 0);
+  sa_grant_mask_.assign(n_ports_ * mask_words_, 0);
   sa_req_count_.assign(n_ports_, 0);
+  sa_grant_count_.assign(n_ports_, 0);
   occupied_.assign(mask_words_, 0);
+  needs_vc_mask_.assign(mask_words_, 0);
+  unsent_mask_.assign(mask_words_, 0);
+  idle_mask_.assign(mask_words_, 0);
+  init_idle_mask();
   free_adaptive_.assign(n_ports_, cfg_.vcs - 1);
+  reserved_.assign(in_.size(), Reservation{});
   seed_rng(cfg_.seed);
+}
+
+void Router::init_idle_mask() {
+  std::fill(idle_mask_.begin(), idle_mask_.end(), 0);
+  for (std::size_t idx = 0; idx < in_.size(); ++idx) {
+    idle_mask_[idx >> 6] |= bit_of(static_cast<int>(idx));
+  }
 }
 
 void Router::seed_rng(std::uint64_t base) {
@@ -72,21 +96,28 @@ void Router::reset() {
     iv.flits_sent = 0;
     iv.blocked_cycles = 0;
     iv.cur_packet = 0;
+    iv.min_ports = {};
   }
   for (std::size_t p = 0; p < n_ports_; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
       OutputVc& ov = out_[static_cast<std::size_t>(flat(p, v))];
-      ov.credits = p < n_network_ports_ ? cfg_.buffer_depth : (1 << 30);
+      ov.credits = p < n_network_ports_ ? cfg_.buffer_depth : kEjectionCredits;
       ov.owner = -1;
     }
   }
   std::fill(sa_in_rr_.begin(), sa_in_rr_.end(), 0);
-  std::fill(sa_in_port_used_.begin(), sa_in_port_used_.end(), 0);
-  std::fill(sa_out_port_used_.begin(), sa_out_port_used_.end(), 0);
+  n_grants_ = 0;
+  std::fill(sa_in_used_mask_.begin(), sa_in_used_mask_.end(), 0);
   std::fill(sa_request_mask_.begin(), sa_request_mask_.end(), 0);
+  std::fill(sa_grant_mask_.begin(), sa_grant_mask_.end(), 0);
   std::fill(sa_req_count_.begin(), sa_req_count_.end(), 0);
+  std::fill(sa_grant_count_.begin(), sa_grant_count_.end(), 0);
   std::fill(occupied_.begin(), occupied_.end(), 0);
+  std::fill(needs_vc_mask_.begin(), needs_vc_mask_.end(), 0);
+  std::fill(unsent_mask_.begin(), unsent_mask_.end(), 0);
+  init_idle_mask();
   std::fill(free_adaptive_.begin(), free_adaptive_.end(), cfg_.vcs - 1);
+  n_reserved_ = 0;
   now_ = 0;
   rng_ = Rng(rng_seed_);
   buffered_ = 0;
@@ -119,15 +150,43 @@ void Router::receive_flit(std::size_t port, Flit f, Cycle now) {
          static_cast<std::size_t>(cfg_.buffer_depth));  // credits guarantee
   iv.buf.push_back(BufFlit{f, now + cfg_.router_latency});
   ++buffered_;
-  occupied_[static_cast<std::size_t>(idx) >> 6] |= 1ULL << (idx & 63);
+  occupied_[static_cast<std::size_t>(idx) >> 6] |= bit_of(idx);
   if (iv.buf.size() > stats_.ring_hwm) stats_.ring_hwm = iv.buf.size();
 }
 
 void Router::receive_credit(std::size_t port, int vc) {
   assert(port < n_network_ports_);
-  ++out_[static_cast<std::size_t>(flat(port, vc))].credits;
-  assert(out_[static_cast<std::size_t>(flat(port, vc))].credits <=
-         cfg_.buffer_depth);
+  OutputVc& ov = out_[static_cast<std::size_t>(flat(port, vc))];
+  if (++ov.credits == 1) on_credit_restored(port, vc);
+  assert(ov.credits <= cfg_.buffer_depth);
+}
+
+template <class Word, class Visit>
+int Router::walk_circular(int start, Word word, Visit visit) const {
+  const std::size_t sw = static_cast<std::size_t>(start) >> 6;
+  const std::uint64_t high = ~0ULL << (start & 63);
+  std::size_t w = sw;
+  std::uint64_t m = word(sw) & high;
+  for (std::size_t step = 0;;) {
+    while (m != 0) {
+      const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
+      m &= m - 1;
+      if (visit(idx)) return idx;
+    }
+    if (++step > mask_words_) return -1;
+    if (++w == mask_words_) w = 0;
+    m = step < mask_words_ ? word(w) : word(sw) & ~high;
+  }
+}
+
+std::span<const std::uint8_t> Router::minimal_ports_to(
+    graph::NodeId dst) const {
+  // Degraded view installed (mid-fault): route on the rebuilt tables with
+  // ids translated to the live subgraph (VA translates the returned ports
+  // back to physical ports).
+  return deg_tables_ == nullptr
+             ? tables_->minimal_ports(id_, dst)
+             : deg_tables_->minimal_ports(deg_live_[id_], deg_live_[dst]);
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
@@ -149,58 +208,76 @@ void Router::route_compute(InputVc& iv, int iv_flat) {
     iv.escape = false;
     iv.flits_sent = 0;
     iv.blocked_cycles = 0;
-    iv.state = VcState::kActive;
-    mark_request(static_cast<std::size_t>(iv.out_port), iv_flat);
+    set_state(iv, iv_flat, VcState::kActive);
+    mark_request(static_cast<std::size_t>(iv.out_port), 0, iv_flat);
   } else {
     iv.out_is_ejection = false;
     iv.blocked_cycles = 0;
-    iv.state = VcState::kNeedsVc;
+    iv.min_ports = {};  // looked up by the first minimal VA attempt
+    set_state(iv, iv_flat, VcState::kNeedsVc);
   }
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
-bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
+void Router::claim_vc(InputVc& iv, int iv_flat, std::size_t port, int vc,
+                      bool escape, std::uint8_t next_phase) {
+  OutputVc& ov = out_[static_cast<std::size_t>(flat(port, vc))];
+  ov.owner = iv_flat;
+  if (vc >= 1) --free_adaptive_[port];
+  if (escape) iv.next_phase = next_phase;
+  if (ov.credits <= 0 && iv.buf.front().ready_time <= now_) {
+    // Doomed: a ready head on a zero-credit VC with nothing sent is revoked
+    // at the end of this step (SA cannot grant it and no credit arrives
+    // mid-step). Hold the VC as a same-step reservation, released at the
+    // revoke point, and account the revocation now — the head is not
+    // visited again this VA pass, so the blocked count it reads is the
+    // same.
+    reserved_[n_reserved_++] = Reservation{static_cast<std::uint32_t>(port),
+                                           vc};
+    ++iv.blocked_cycles;
+    ++stats_.heads_revoked;
+    ++stats_.sa_credit_stalls;
+    return;
+  }
+  iv.out_port = static_cast<int>(port);
+  iv.out_vc = vc;
+  iv.escape = escape;
+  iv.flits_sent = 0;
+  unsent_mask_[static_cast<std::size_t>(iv_flat) >> 6] |= bit_of(iv_flat);
+  set_state(iv, iv_flat, VcState::kActive);
+  mark_request(port, vc, iv_flat);
+}
+
+// HM_HOT: per-cycle simulation path — no allocation, no throw.
+void Router::try_allocate_vc(InputVc& iv, int iv_flat) {
   const Flit& head = iv.buf.front().flit;
   const graph::NodeId dst = head.dst_router;
 
   const bool use_minimal = cfg_.routing != RoutingMode::kUpDownOnly &&
                            !head.escape && cfg_.vcs > 1;
   if (use_minimal) {
-    // Degraded view installed (mid-fault): route on the rebuilt tables with
-    // ids translated to the live subgraph and ports translated back to the
-    // physical port numbering. Healthy runs pay one perfectly-predicted
-    // null check.
-    const auto ports =
-        deg_tables_ == nullptr
-            ? tables_->minimal_ports(id_, dst)
-            : deg_tables_->minimal_ports(deg_live_[id_], deg_live_[dst]);
-    std::size_t first = 0;
+    if (iv.min_ports.data() == nullptr) iv.min_ports = minimal_ports_to(dst);
+    const std::span<const std::uint8_t> ports = iv.min_ports;
+    std::size_t j = 0;
     std::size_t count = ports.size();
     if (cfg_.routing == RoutingMode::kDeterministicMinimal) {
       // anynet-style: one fixed shortest path per (node, destination).
       count = 1;
     } else if (ports.size() > 1) {
       // Adaptive: rotate the starting candidate to spread load.
-      first = static_cast<std::size_t>(rng_.uniform_int(ports.size()));
+      j = static_cast<std::size_t>(rng_.uniform_int(ports.size()));
     }
     for (std::size_t i = 0; i < count; ++i) {
-      int port = ports[(i + first) % ports.size()];
-      if (deg_port_map_ != nullptr) {
-        port = deg_port_map_[static_cast<std::size_t>(port)];
-      }
-      if (free_adaptive_[static_cast<std::size_t>(port)] == 0) continue;
+      std::size_t port = ports[j];
+      if (++j == ports.size()) j = 0;
+      // Degraded view: translate back to the physical port numbering.
+      // Healthy runs pay one perfectly-predicted null check.
+      if (deg_port_map_ != nullptr) port = deg_port_map_[port];
+      if (free_adaptive_[port] == 0) continue;
       for (int vc = 1; vc < cfg_.vcs; ++vc) {
-        OutputVc& ov = out_[static_cast<std::size_t>(flat(port, vc))];
-        if (ov.owner < 0) {
-          ov.owner = iv_flat;
-          --free_adaptive_[static_cast<std::size_t>(port)];
-          iv.out_port = port;
-          iv.out_vc = vc;
-          iv.escape = false;
-          iv.flits_sent = 0;
-          iv.state = VcState::kActive;
-          mark_request(static_cast<std::size_t>(port), iv_flat);
-          return true;
+        if (out_[static_cast<std::size_t>(flat(port, vc))].owner < 0) {
+          claim_vc(iv, iv_flat, port, vc, false, 0);
+          return;
         }
       }
     }
@@ -229,29 +306,18 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
     if (out_channel_[hop.port] == nullptr) {
       ++iv.blocked_cycles;
       ++stats_.va_stall_cycles;
-      return false;
+      return;
     }
-    const int vc_lo = 0;
     const int vc_hi = cfg_.routing == RoutingMode::kUpDownOnly ? cfg_.vcs : 1;
-    for (int vc = vc_lo; vc < vc_hi; ++vc) {
-      OutputVc& ov = out_[static_cast<std::size_t>(flat(hop.port, vc))];
-      if (ov.owner < 0) {
-        ov.owner = iv_flat;
-        if (vc >= 1) --free_adaptive_[hop.port];
-        iv.out_port = hop.port;
-        iv.out_vc = vc;
-        iv.escape = true;
-        iv.next_phase = hop.next_phase;
-        iv.flits_sent = 0;
-        iv.state = VcState::kActive;
-        mark_request(hop.port, iv_flat);
-        return true;
+    for (int vc = 0; vc < vc_hi; ++vc) {
+      if (out_[static_cast<std::size_t>(flat(hop.port, vc))].owner < 0) {
+        claim_vc(iv, iv_flat, hop.port, vc, true, hop.next_phase);
+        return;
       }
     }
   }
   ++iv.blocked_cycles;
   ++stats_.va_stall_cycles;
-  return false;
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
@@ -259,48 +325,32 @@ void Router::step(Cycle now) {
   now_ = now;
   const int total_vcs = static_cast<int>(in_.size());
 
-  // --- RC: classify fresh heads -------------------------------------------
-  // Ascending walk of the occupied VCs only — same visit order as a linear
-  // scan over every VC, since unoccupied VCs have no head to classify.
+  // --- RC: classify fresh heads (idle VCs with a buffered flit) ----------
+  // Ascending, like a scan over every VC.
   for (std::size_t w = 0; w < mask_words_; ++w) {
-    std::uint64_t m = occupied_[w];
+    std::uint64_t m = occupied_[w] & idle_mask_[w];
     while (m != 0) {
       const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
       m &= m - 1;
       InputVc& iv = in_[static_cast<std::size_t>(idx)];
-      if (iv.state == VcState::kIdle) {
-        assert(iv.buf.front().flit.head);
-        route_compute(iv, idx);
-      }
+      assert(iv.buf.front().flit.head);
+      route_compute(iv, idx);
     }
   }
 
   // --- VA: allocate output VCs in round-robin order ------------------------
   // Starting offset derived from the cycle number: identical to a pointer
   // incremented once per cycle, but invariant under idle-cycle skipping.
-  // Circular walk of the occupied VCs from that offset (a kNeedsVc head is
-  // always still buffered), in the order the former modular scan used.
-  const int va_start = static_cast<int>(now % static_cast<Cycle>(total_vcs));
-  {
-    const std::size_t sw = static_cast<std::size_t>(va_start) >> 6;
-    const std::uint64_t high = ~0ULL << (va_start & 63);
-    std::uint64_t m = occupied_[sw] & high;
-    for (std::size_t step = 0; step <= mask_words_; ++step) {
-      const std::size_t w =
-          step == 0 ? sw
-                    : (step == mask_words_ ? sw : (sw + step) % mask_words_);
-      if (step == mask_words_) m = occupied_[sw] & ~high;
-      while (m != 0) {
-        const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
-        m &= m - 1;
-        InputVc& iv = in_[static_cast<std::size_t>(idx)];
-        if (iv.state == VcState::kNeedsVc) {
-          try_allocate_vc(iv, idx);
-        }
-      }
-      if (step + 1 < mask_words_) m = occupied_[(sw + step + 1) % mask_words_];
-    }
-  }
+  // Circular walk of the heads needing a VC from that offset. VA changes
+  // only the visited head's own bit, so the walk sees every head that was
+  // waiting when the pass began, once.
+  walk_circular(
+      static_cast<int>(now % static_cast<Cycle>(total_vcs)),
+      [&](std::size_t w) { return needs_vc_mask_[w]; },
+      [&](int idx) {
+        try_allocate_vc(in_[static_cast<std::size_t>(idx)], idx);
+        return false;
+      });
 
   // --- SA: switch allocation + traversal -----------------------------------
   switch_allocate(now);
@@ -310,152 +360,149 @@ void Router::step(Cycle now) {
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
+void Router::grant_one(std::size_t out_p, Cycle now) {
+  const std::uint64_t* grantable = &sa_grant_mask_[out_p * mask_words_];
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    stats_.sa_conflict_stalls += static_cast<std::uint64_t>(std::popcount(
+        grantable[w] & occupied_[w] & sa_in_used_mask_[w]));
+  }
+  // Round-robin from sa_in_rr_[out_p] over the requesters that can win:
+  // credits available, a buffered flit, input port still unmatched. The
+  // first one whose head is ready wins.
+  const int idx = walk_circular(
+      sa_in_rr_[out_p],
+      [&](std::size_t w) {
+        return grantable[w] & occupied_[w] & ~sa_in_used_mask_[w];
+      },
+      [&](int i) {
+        return in_[static_cast<std::size_t>(i)].buf.front().ready_time <= now;
+      });
+  if (idx < 0) return;
+
+  // Grant: traverse the switch and the output link (an 8-byte copy).
+  InputVc& iv = in_[static_cast<std::size_t>(idx)];
+  const std::size_t in_port =
+      static_cast<std::size_t>(idx) / static_cast<std::size_t>(cfg_.vcs);
+  OutputVc& ov = out_[static_cast<std::size_t>(flat(out_p, iv.out_vc))];
+  assert(ov.credits > 0);
+  Flit f = iv.buf.front().flit;
+  iv.buf.pop_front();
+  --buffered_;
+  if (iv.buf.empty()) {
+    occupied_[static_cast<std::size_t>(idx) >> 6] &= ~bit_of(idx);
+  }
+  f.vc = static_cast<std::uint8_t>(iv.out_vc);
+  if (iv.escape) {
+    f.escape = 1;
+    f.ud_phase = iv.next_phase & 1;
+  }
+  out_channel_[out_p]->push(f, now + out_latency_[out_p]);
+  // Ejection credits are unbounded; a network VC's last credit clears its
+  // owner's grantable bit (1->0 edge).
+  if (!iv.out_is_ejection && --ov.credits == 0) {
+    sa_grant_mask_[word_of(out_p, idx)] &= ~bit_of(idx);
+    --sa_grant_count_[out_p];
+  }
+  if (iv.flits_sent++ == 0) {
+    unsent_mask_[static_cast<std::size_t>(idx) >> 6] &= ~bit_of(idx);
+  }
+  ++stats_.flits_routed;
+  grants_[n_grants_++] = Grant{static_cast<std::uint16_t>(in_port),
+                               static_cast<std::uint16_t>(out_p)};
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    sa_in_used_mask_[w] |= port_vc_mask_[in_port * mask_words_ + w];
+  }
+
+  // Return a credit for the freed buffer slot upstream.
+  if (credit_channel_[in_port] != nullptr) {
+    credit_channel_[in_port]->push(
+        idx - static_cast<int>(in_port) * cfg_.vcs,
+        now + credit_latency_[in_port]);
+  }
+
+  if (f.tail) {
+    // Release the input VC and (for network outputs) the output VC.
+    if (!iv.out_is_ejection) {
+      ov.owner = -1;
+      if (iv.out_vc >= 1) ++free_adaptive_[out_p];
+    }
+    clear_request(out_p, idx);
+    set_state(iv, idx, VcState::kIdle);
+    iv.out_port = -1;
+    iv.out_vc = -1;
+    iv.escape = false;
+    iv.next_phase = 0;
+    iv.flits_sent = 0;
+  }
+  sa_in_rr_[out_p] = idx + 1 == static_cast<int>(in_.size()) ? 0 : idx + 1;
+}
+
+// HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::switch_allocate(Cycle now) {
-  const int total_vcs = static_cast<int>(in_.size());
-  std::fill(sa_in_port_used_.begin(), sa_in_port_used_.end(), 0);
-  std::fill(sa_out_port_used_.begin(), sa_out_port_used_.end(), 0);
+  n_grants_ = 0;
+  std::fill(sa_in_used_mask_.begin(), sa_in_used_mask_.end(), 0);
 
-  // Examines the requesters of `out_p` in round-robin order starting at
-  // sa_in_rr_[out_p] (exactly the order the former linear scan over every
-  // input VC produced), but walks only set bits of the request mask.
-  // Returns true when a flit was granted.
-  auto grant_one = [&](std::size_t out_p) {
-    const std::uint64_t* mask = &sa_request_mask_[out_p * mask_words_];
-    const int start = sa_in_rr_[out_p];
-
-    auto try_grant = [&](int idx) {
-      InputVc& iv = in_[static_cast<std::size_t>(idx)];
-      const auto in_port = static_cast<std::size_t>(idx) /
-                           static_cast<std::size_t>(cfg_.vcs);
-      if (iv.buf.empty()) return false;
-      if (sa_in_port_used_[in_port]) {
-        ++stats_.sa_conflict_stalls;
-        return false;
-      }
-      if (iv.buf.front().ready_time > now) return false;
-      OutputVc& ov = out_[static_cast<std::size_t>(flat(out_p, iv.out_vc))];
-      if (ov.credits <= 0) {
-        ++stats_.sa_credit_stalls;
-        return false;
-      }
-
-      // Grant: traverse the switch and the output link (an 8-byte copy).
-      Flit f = iv.buf.front().flit;
-      iv.buf.pop_front();
-      --buffered_;
-      if (iv.buf.empty()) {
-        occupied_[static_cast<std::size_t>(idx) >> 6] &=
-            ~(1ULL << (idx & 63));
-      }
-      f.vc = static_cast<std::uint8_t>(iv.out_vc);
-      if (iv.escape) {
-        f.escape = 1;
-        f.ud_phase = iv.next_phase & 1;
-      }
-      out_channel_[out_p]->push(f, now + out_latency_[out_p]);
-      --ov.credits;
-      ++iv.flits_sent;
-      ++stats_.flits_routed;
-      sa_in_port_used_[in_port] = 1;
-      sa_out_port_used_[out_p] = 1;
-
-      // Return a credit for the freed buffer slot upstream.
-      if (credit_channel_[in_port] != nullptr) {
-        credit_channel_[in_port]->push(
-            static_cast<int>(static_cast<std::size_t>(idx) %
-                             static_cast<std::size_t>(cfg_.vcs)),
-            now + credit_latency_[in_port]);
-      }
-
-      if (f.tail) {
-        // Release the input VC and (for network outputs) the output VC.
-        if (!iv.out_is_ejection) {
-          ov.owner = -1;
-          if (iv.out_vc >= 1) ++free_adaptive_[out_p];
-        }
-        clear_request(out_p, idx);
-        iv.state = VcState::kIdle;
-        iv.out_port = -1;
-        iv.out_vc = -1;
-        iv.escape = false;
-        iv.next_phase = 0;
-        iv.flits_sent = 0;
-      }
-      sa_in_rr_[out_p] = (idx + 1) % total_vcs;
-      return true;
-    };
-
-    // Word walk in circular flat-id order: the start word masked to bits
-    // >= start, the remaining words wrapping around, then the start word's
-    // low bits.
-    const std::size_t sw = static_cast<std::size_t>(start) >> 6;
-    const std::uint64_t high = ~0ULL << (start & 63);
-    std::uint64_t m = mask[sw] & high;
-    for (std::size_t step = 0; step <= mask_words_; ++step) {
-      const std::size_t w =
-          step == 0 ? sw
-                    : (step == mask_words_ ? sw : (sw + step) % mask_words_);
-      if (step == mask_words_) m = mask[sw] & ~high;
-      while (m != 0) {
-        const int idx =
-            static_cast<int>(w << 6) + std::countr_zero(m);
-        m &= m - 1;
-        if (try_grant(idx)) return true;
-      }
-      if (step + 1 < mask_words_) m = mask[(sw + step + 1) % mask_words_];
-    }
-    return false;
-  };
-
-  // iSLIP-style iterations: each pass matches still-unmatched output ports
-  // to still-unmatched input ports. The output round-robin offset is
+  // One matching pass over the output ports, circularly from an offset
   // derived from the cycle number (see step()), so it is skip-invariant.
-  const std::size_t out_start =
+  // Ports without a grantable requester cannot grant; skipping them touches
+  // nothing. The pass is already a maximal matching, so further
+  // iSLIP-style passes (cfg.sa_iterations > 1) could never add a grant: a
+  // port that found no winner keeps none, because its requesters' credits
+  // and buffers change only through grants at that same port, readiness
+  // does not change within a step, and matched input ports only
+  // accumulate.
+  std::size_t out_p =
       static_cast<std::size_t>(now % static_cast<Cycle>(n_ports_));
-  for (int iter = 0; iter < cfg_.sa_iterations; ++iter) {
-    bool granted_any = false;
-    for (std::size_t i = 0; i < n_ports_; ++i) {
-      const std::size_t out_p = (out_start + i) % n_ports_;
-      // Request-free ports cannot grant; skipping them is free of side
-      // effects (grant_one on an empty mask calls no try_grant, so it
-      // touches no stats and draws nothing).
-      if (sa_req_count_[out_p] == 0) continue;
-      if (out_channel_[out_p] == nullptr || sa_out_port_used_[out_p]) continue;
-      if (grant_one(out_p)) granted_any = true;
+  for (std::size_t i = 0; i < n_ports_; ++i) {
+    stats_.sa_credit_stalls += static_cast<std::uint64_t>(
+        sa_req_count_[out_p] - sa_grant_count_[out_p]);
+    if (sa_grant_count_[out_p] != 0 && out_channel_[out_p] != nullptr) {
+      grant_one(out_p, now);
     }
-    if (!granted_any) break;  // no further matches possible
+    if (++out_p == n_ports_) out_p = 0;
   }
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::revoke_blocked_heads() {
-  // Ascending occupied-VC walk: a revocable head (zero flits sent) is by
-  // definition still buffered, so unoccupied VCs cannot qualify.
-  for (std::size_t w = 0; w < mask_words_; ++w) {
-    std::uint64_t m = occupied_[w];
-    while (m != 0) {
-    const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
-    m &= m - 1;
-    InputVc& iv = in_[static_cast<std::size_t>(idx)];
-    if (iv.state != VcState::kActive || iv.out_is_ejection) continue;
-    if (iv.flits_sent > 0) continue;  // header already left: must stay
-    if (iv.buf.front().ready_time > now_) continue;
-    OutputVc& ov = out_[static_cast<std::size_t>(flat(iv.out_port, iv.out_vc))];
-    if (ov.credits > 0) continue;  // not blocked, just lost arbitration
-    // Header is blocked with zero progress: release the allocation so the
-    // next VA round can try other minimal ports or the escape VC. This
-    // must count toward the escape threshold, otherwise a header cycling
-    // through allocate/revoke on credit-starved VCs would never become
-    // eligible for the escape network.
-    ov.owner = -1;
-    if (iv.out_vc >= 1) ++free_adaptive_[static_cast<std::size_t>(iv.out_port)];
-    clear_request(static_cast<std::size_t>(iv.out_port), idx);
-    iv.out_port = -1;
-    iv.out_vc = -1;
-    iv.escape = false;
-    iv.state = VcState::kNeedsVc;
-    ++iv.blocked_cycles;
-    ++stats_.heads_revoked;
+  // Same-step reservations (doomed VA allocations) end here; their heads
+  // were accounted as revoked when VA reserved.
+  for (std::size_t k = 0; k < n_reserved_; ++k) {
+    const Reservation& r = reserved_[k];
+    out_[static_cast<std::size_t>(flat(r.port, r.vc))].owner = -1;
+    if (r.vc >= 1) ++free_adaptive_[r.port];
+  }
+  n_reserved_ = 0;
+
+  // Credit-starved requesters (request & ~grantable) on network ports
+  // whose header has not left yet (a started wormhole must stay).
+  for (std::size_t p = 0; p < n_network_ports_; ++p) {
+    if (sa_req_count_[p] == sa_grant_count_[p]) continue;
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+      std::uint64_t m = sa_request_mask_[p * mask_words_ + w] &
+                        ~sa_grant_mask_[p * mask_words_ + w] & unsent_mask_[w];
+      while (m != 0) {
+        const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
+        m &= m - 1;
+        InputVc& iv = in_[static_cast<std::size_t>(idx)];
+        assert(iv.state == VcState::kActive && !iv.out_is_ejection &&
+               iv.flits_sent == 0);
+        if (iv.buf.front().ready_time > now_) continue;
+        // Header is blocked with zero progress: release the allocation so
+        // the next VA round can try other minimal ports or the escape VC.
+        // This must count toward the escape threshold, otherwise a header
+        // cycling through allocate/revoke on credit-starved VCs would
+        // never become eligible for the escape network.
+        out_[static_cast<std::size_t>(flat(p, iv.out_vc))].owner = -1;
+        if (iv.out_vc >= 1) ++free_adaptive_[p];
+        clear_request(p, idx);
+        iv.out_port = -1;
+        iv.out_vc = -1;
+        iv.escape = false;
+        set_state(iv, idx, VcState::kNeedsVc);
+        ++iv.blocked_cycles;
+        ++stats_.heads_revoked;
+      }
     }
   }
 }
@@ -472,6 +519,8 @@ void Router::set_degraded(const RoutingTables* tables,
   deg_tables_ = tables;
   deg_live_ = live_id;
   deg_port_map_ = port_map;
+  // Cached minimal-port spans belong to the previous view.
+  for (InputVc& iv : in_) iv.min_ports = {};
 }
 
 void Router::fault_kill_port(std::size_t port) {
@@ -482,6 +531,11 @@ void Router::fault_kill_port(std::size_t port) {
     out_[static_cast<std::size_t>(flat(port, v))].credits = 0;
   }
   free_adaptive_[port] = 0;
+  // No credits left: nobody toward this port is grantable any more.
+  std::fill_n(sa_grant_mask_.begin() +
+                  static_cast<std::ptrdiff_t>(port * mask_words_),
+              mask_words_, 0);
+  sa_grant_count_[port] = 0;
 }
 
 void Router::fault_restore_port(std::size_t port, FlitChannel* out,
@@ -503,7 +557,7 @@ void Router::fault_restore_port(std::size_t port, FlitChannel* out,
 void Router::fault_refund_credit(std::size_t port, int vc) {
   assert(port < n_network_ports_);
   OutputVc& ov = out_[static_cast<std::size_t>(flat(port, vc))];
-  ++ov.credits;
+  if (++ov.credits == 1) on_credit_restored(port, vc);
   assert(ov.credits <= cfg_.buffer_depth);
 }
 
@@ -588,12 +642,12 @@ Router::FaultExcision Router::fault_excise(
         }
       }
       if (tracked_poisoned) {
-        iv.state = VcState::kIdle;
+        set_state(iv, idx, VcState::kIdle);
         iv.blocked_cycles = 0;
         iv.cur_packet = 0;
       } else {
         assert(iv.flits_sent == 0);
-        iv.state = VcState::kNeedsVc;
+        set_state(iv, idx, VcState::kNeedsVc);
         ++result.packets_rerouted;
       }
       iv.out_port = -1;
@@ -624,6 +678,21 @@ bool Router::invariants_ok(std::string* why) const {
       if (marked != !iv.buf.empty()) {
         return fail("occupancy bit out of sync with buffer");
       }
+      const std::size_t w = static_cast<std::size_t>(idx) >> 6;
+      const bool idle_bit = (idle_mask_[w] & bit_of(idx)) != 0;
+      const bool needs_vc_bit = (needs_vc_mask_[w] & bit_of(idx)) != 0;
+      if (idle_bit != (iv.state == VcState::kIdle) ||
+          needs_vc_bit != (iv.state == VcState::kNeedsVc)) {
+        return fail("state mask out of sync with VC state");
+      }
+      if (iv.state == VcState::kNeedsVc && iv.buf.empty()) {
+        return fail("head awaiting VA is not buffered");
+      }
+      const bool unsent_bit = (unsent_mask_[w] & bit_of(idx)) != 0;
+      if (unsent_bit != (iv.state == VcState::kActive &&
+                         !iv.out_is_ejection && iv.flits_sent == 0)) {
+        return fail("unsent bit out of sync");
+      }
       if (iv.buf.size() > static_cast<std::size_t>(cfg_.buffer_depth)) {
         return fail("input buffer overflow");
       }
@@ -644,9 +713,43 @@ bool Router::invariants_ok(std::string* why) const {
         if (ov.credits < 0 || ov.credits > cfg_.buffer_depth) {
           return fail("credit out of range");
         }
+        // Owners are exactly the active heads routed here: the credit
+        // edges re-arm grantable bits through this link.
+        if (ov.owner >= 0) {
+          const InputVc& owner = in_[static_cast<std::size_t>(ov.owner)];
+          if (owner.state != VcState::kActive || owner.out_is_ejection ||
+              owner.out_port != static_cast<int>(p) || owner.out_vc != v) {
+            return fail("output VC owned by a non-requester");
+          }
+        }
       }
     }
+
+    // Request bit <=> kActive toward p; grantable bit <=> request bit and
+    // credits > 0; the per-port counts are the masks' popcounts.
+    std::size_t requests = 0;
+    std::size_t grantable = 0;
+    for (std::size_t idx = 0; idx < in_.size(); ++idx) {
+      const InputVc& iv = in_[idx];
+      const std::size_t w = word_of(p, static_cast<int>(idx));
+      const std::uint64_t bit = bit_of(static_cast<int>(idx));
+      const bool req = (sa_request_mask_[w] & bit) != 0;
+      const bool grant = (sa_grant_mask_[w] & bit) != 0;
+      const bool active_here =
+          iv.state == VcState::kActive && iv.out_port == static_cast<int>(p);
+      if (req != active_here) return fail("request bit out of sync");
+      const bool has_credits =
+          active_here &&
+          out_[static_cast<std::size_t>(flat(p, iv.out_vc))].credits > 0;
+      if (grant != has_credits) return fail("grantable bit out of sync");
+      requests += req ? 1 : 0;
+      grantable += grant ? 1 : 0;
+    }
+    if (requests != sa_req_count_[p] || grantable != sa_grant_count_[p]) {
+      return fail("per-port request/grantable count out of sync");
+    }
   }
+  if (n_reserved_ != 0) return fail("same-step reservation outlived its step");
   return true;
 }
 

@@ -11,17 +11,54 @@
 // (Duato's protocol, conservative stay-on-escape variant).
 //
 // Hot-path layout: input and output VC state lives in flat [port*vcs + vc]
-// arrays (one contiguous block each, walked linearly every cycle), flit
-// buffers are fixed-capacity rings sized to buffer_depth, and the switch
-// allocator's matching scratch is preallocated — a steady-state step() does
-// no heap allocation. Flits are 8-byte routing words (see flit.hpp); the
-// only cold data a router ever needs — the destination endpoint for
-// ejection-port routing — is looked up once per packet in the Network's
-// PacketTable when the head flit is route-computed.
+// arrays, flit buffers are fixed-capacity rings sized to buffer_depth, and
+// all per-cycle scratch is preallocated — a steady-state step() does no heap
+// allocation. Flits are 8-byte routing words (see flit.hpp); the only cold
+// data a router ever needs — the destination endpoint for ejection-port
+// routing — is looked up once per packet in the Network's PacketTable when
+// the head flit is route-computed.
+//
+// Busy path: at saturation most requesters are blocked, so every stage
+// walks bitmasks over flat input-VC ids that hold exactly the VCs able to
+// act, visiting them in the order the former full scans did:
+//  - occupied_: the VC buffers a flit (set on receive_flit, cleared when a
+//    grant or fault excision empties the buffer).
+//  - idle_mask_ / needs_vc_mask_: mirrors of InputVc::state, updated by
+//    set_state(). RC walks occupied & idle (fresh heads), VA walks
+//    needs-VC heads (always buffered).
+//  - request (per output port): the VC is kActive toward that port. Set
+//    when RC routes a head to an ejection port or VA allocates an output
+//    VC; cleared on the tail grant, on revocation and by fault excision.
+//  - grantable (per output port): request AND the VC's output credits > 0.
+//    Set with the request when credits are available, and on the 0->1
+//    credit edge (receive_credit, fault_refund_credit) for the output VC's
+//    single owner; cleared with the request, on the 1->0 edge of an SA
+//    grant and by fault_kill_port. Ejection outputs have unbounded credits,
+//    so their requesters are always grantable.
+//  - unsent_mask_: kActive on a network port with no flit sent yet (set by
+//    VA, cleared by the first grant and with the request).
+// SA makes one pass over the output ports and, per port, walks grantable &
+// occupied & ~(VCs of input ports already matched this cycle) from the
+// round-robin pointer; the first requester whose head is ready wins. The
+// skipped requesters could never win — no credits, an empty buffer or a
+// taken input port — so every grant and round-robin update equals a walk
+// over all requesters. Revocation walks request & ~grantable & unsent on
+// network ports, i.e. only credit-starved heads that may still re-route;
+// each revoke touches only its own input VC, its own output VC and its
+// port's free count, so walk order cannot matter. Finally, a ready head
+// that VA hands a zero-credit output VC would be revoked at the end of the
+// same step with certainty (SA cannot grant it and no credit arrives
+// mid-step), so VA records that as a same-step reservation instead: the
+// output VC stays owned (and free_adaptive_ debited) for the rest of the
+// VA pass, is released at the revoke point, and the head never enters the
+// masks. Every VA attempt still makes its RNG draw in the same order.
+// test_router_busy_path pins all of this against fingerprints recorded
+// from the full-scan router, and invariants_ok checks every mask.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,8 +82,13 @@ class Router {
   struct HotStats {
     std::uint64_t flits_routed = 0;       ///< switch grants (flit traversals)
     std::uint64_t va_stall_cycles = 0;    ///< VC-allocation failures
-    std::uint64_t sa_conflict_stalls = 0; ///< SA loss: input port taken
-    std::uint64_t sa_credit_stalls = 0;   ///< SA loss: zero output credits
+    /// Per SA call and arbitrated output port: grantable, buffered
+    /// requesters whose input port had already won a grant this cycle.
+    std::uint64_t sa_conflict_stalls = 0;
+    /// Credit-starved requester-cycles: per SA call, requesters whose output
+    /// VC has zero credits (requests - grantable, summed over ports), plus
+    /// the heads VA reserved a zero-credit VC for in the same step.
+    std::uint64_t sa_credit_stalls = 0;
     std::uint64_t heads_revoked = 0;      ///< escape-fallback revocations
     std::uint64_t ring_hwm = 0;           ///< max input RingQueue occupancy
   };
@@ -110,17 +152,19 @@ class Router {
 
   [[nodiscard]] const HotStats& hot_stats() const noexcept { return stats_; }
 
-  /// Switch-allocation scratch, valid immediately after step(): which
-  /// output ports pushed a flit into their channel this step, and which
-  /// input ports had a grant (and therefore returned a credit upstream
-  /// when a credit channel is wired). The active-set stepper arms exactly
-  /// the channels these ports feed instead of re-scanning every channel
-  /// adjacent to the router.
-  [[nodiscard]] const std::vector<char>& out_ports_pushed() const noexcept {
-    return sa_out_port_used_;
-  }
-  [[nodiscard]] const std::vector<char>& in_ports_granted() const noexcept {
-    return sa_in_port_used_;
+  /// One switch grant: a flit moved from `in_port` (which returned a
+  /// credit upstream when a credit channel is wired) to `out_port` (which
+  /// pushed it into its channel).
+  struct Grant {
+    std::uint16_t in_port = 0;
+    std::uint16_t out_port = 0;
+  };
+
+  /// This step's grants, valid immediately after step(). The active-set
+  /// stepper arms exactly the channels these ports feed instead of
+  /// re-scanning every channel adjacent to the router.
+  [[nodiscard]] std::span<const Grant> grants() const noexcept {
+    return {grants_.data(), n_grants_};
   }
 
   /// Validates internal invariants (buffer bounds, credit bounds, ownership
@@ -205,6 +249,11 @@ class Router {
     /// empty mid-packet (body still upstream), so fault excision needs the
     /// id recorded at route compute, not the front flit.
     std::uint32_t cur_packet = 0;
+    /// Minimal output ports of the head toward its destination under the
+    /// routing view in force, looked up by the head's first minimal VA
+    /// attempt so retries skip the table lookup. Null data = not looked up
+    /// yet (RC and set_degraded reset it).
+    std::span<const std::uint8_t> min_ports;
   };
 
   struct OutputVc {
@@ -212,31 +261,76 @@ class Router {
     int owner = -1;  ///< flat input-VC index holding this VC, or -1
   };
 
+  /// An output VC held by a same-step reservation (see the header comment).
+  struct Reservation {
+    std::uint32_t port = 0;
+    int vc = 0;
+  };
+
   [[nodiscard]] int flat(std::size_t port, int vc) const {
     return static_cast<int>(port) * cfg_.vcs + vc;
   }
+  [[nodiscard]] std::size_t word_of(std::size_t out_p, int iv_flat) const {
+    return out_p * mask_words_ + (static_cast<std::size_t>(iv_flat) >> 6);
+  }
+  static std::uint64_t bit_of(int iv_flat) { return 1ULL << (iv_flat & 63); }
 
-  /// Marks flat input VC `iv_flat` as requesting output port `out_p` (set
-  /// exactly while the VC is kActive), so the switch allocator can walk
-  /// requesters with countr_zero instead of scanning every input VC. The
-  /// per-port requester count lets SA skip request-free ports with one
-  /// load instead of probing an empty mask per port per cycle.
-  void mark_request(std::size_t out_p, int iv_flat) {
-    sa_request_mask_[out_p * mask_words_ +
-                     (static_cast<std::size_t>(iv_flat) >> 6)] |=
-        1ULL << (iv_flat & 63);
+  /// Every VC state change goes through here so the per-state masks mirror
+  /// InputVc::state exactly.
+  void set_state(InputVc& iv, int iv_flat, VcState s) {
+    const std::size_t w = static_cast<std::size_t>(iv_flat) >> 6;
+    const std::uint64_t b = bit_of(iv_flat);
+    idle_mask_[w] =
+        s == VcState::kIdle ? idle_mask_[w] | b : idle_mask_[w] & ~b;
+    needs_vc_mask_[w] =
+        s == VcState::kNeedsVc ? needs_vc_mask_[w] | b : needs_vc_mask_[w] & ~b;
+    iv.state = s;
+  }
+  void init_idle_mask();
+
+  /// Request/grantable bookkeeping (see the header comment for the edges).
+  void mark_request(std::size_t out_p, int out_vc, int iv_flat) {
+    const std::size_t w = word_of(out_p, iv_flat);
+    sa_request_mask_[w] |= bit_of(iv_flat);
     ++sa_req_count_[out_p];
+    if (out_[static_cast<std::size_t>(flat(out_p, out_vc))].credits > 0) {
+      sa_grant_mask_[w] |= bit_of(iv_flat);
+      ++sa_grant_count_[out_p];
+    }
   }
   void clear_request(std::size_t out_p, int iv_flat) {
-    sa_request_mask_[out_p * mask_words_ +
-                     (static_cast<std::size_t>(iv_flat) >> 6)] &=
-        ~(1ULL << (iv_flat & 63));
+    unsent_mask_[static_cast<std::size_t>(iv_flat) >> 6] &= ~bit_of(iv_flat);
+    const std::size_t w = word_of(out_p, iv_flat);
+    sa_request_mask_[w] &= ~bit_of(iv_flat);
     --sa_req_count_[out_p];
+    if ((sa_grant_mask_[w] & bit_of(iv_flat)) != 0) {
+      sa_grant_mask_[w] &= ~bit_of(iv_flat);
+      --sa_grant_count_[out_p];
+    }
+  }
+  /// 0->1 credit edge of output VC (port, vc): its owner becomes grantable.
+  void on_credit_restored(std::size_t port, int vc) {
+    const int owner = out_[static_cast<std::size_t>(flat(port, vc))].owner;
+    if (owner < 0) return;
+    sa_grant_mask_[word_of(port, owner)] |= bit_of(owner);
+    ++sa_grant_count_[port];
   }
 
+  /// Visits the set bits of word(0..mask_words_-1) in circular flat-id
+  /// order starting at `start`: the start word's bits >= start, the other
+  /// words wrapping around, then the start word's low bits. Stops at and
+  /// returns the first id for which visit(id) is true; -1 otherwise.
+  template <class Word, class Visit>
+  int walk_circular(int start, Word word, Visit visit) const;
+
+  [[nodiscard]] std::span<const std::uint8_t> minimal_ports_to(
+      graph::NodeId dst) const;
   void route_compute(InputVc& iv, int iv_flat);
-  bool try_allocate_vc(InputVc& iv, int iv_flat);
+  void try_allocate_vc(InputVc& iv, int iv_flat);
+  void claim_vc(InputVc& iv, int iv_flat, std::size_t port, int vc,
+                bool escape, std::uint8_t next_phase);
   void switch_allocate(Cycle now);
+  void grant_one(std::size_t out_p, Cycle now);
   void revoke_blocked_heads();
 
   std::uint32_t id_;
@@ -268,30 +362,38 @@ class Router {
   std::vector<int> sa_in_rr_;  ///< per output port, over flat input-VC ids
 
   // Preallocated switch-allocation scratch (per-cycle matching state).
-  std::vector<char> sa_in_port_used_;
-  std::vector<char> sa_out_port_used_;
+  std::vector<Grant> grants_;  ///< capacity: one per output port
+  std::size_t n_grants_ = 0;
+  /// Flat input-VC ids of the input ports matched so far this cycle.
+  std::vector<std::uint64_t> sa_in_used_mask_;
+  /// Per input port: its VCs' flat ids ([port * mask_words_ + word]).
+  std::vector<std::uint64_t> port_vc_mask_;
 
-  // Requester bitmasks: [out_port * mask_words_ + word] over flat input-VC
-  // ids; bit set iff that input VC is kActive toward that output port.
+  // Per-output-port bitmasks over flat input-VC ids, [out_port *
+  // mask_words_ + word], with their popcounts (see the header comment).
   std::size_t mask_words_ = 1;
   std::vector<std::uint64_t> sa_request_mask_;
-  std::vector<std::uint16_t> sa_req_count_;  ///< requesters per output port
+  std::vector<std::uint64_t> sa_grant_mask_;
+  std::vector<std::uint16_t> sa_req_count_;
+  std::vector<std::uint16_t> sa_grant_count_;
 
-  // Occupancy bitmask over flat input-VC ids: bit set iff the VC buffers at
-  // least one flit. Every per-VC action of step() requires a buffered flit
-  // (RC classifies a buffered head, VA only sees kNeedsVc VCs — whose head
-  // is still buffered by construction — and the escape-fallback revocation
-  // skips empty buffers; SA walks its own request masks), so RC/VA/revoke
-  // walk only set bits instead of scanning every VC. The walks visit bits
-  // in exactly the order the former linear scans used (ascending for
-  // RC/revoke, circular from the cycle-derived offset for VA), keeping
-  // arbitration and RNG draws bit-identical.
+  /// Bitmasks over flat input-VC ids: the VC buffers at least one flit;
+  /// its state is kIdle; its state is kNeedsVc; it holds a network output
+  /// VC and has sent no flit yet (the only heads revocation may release).
   std::vector<std::uint64_t> occupied_;
+  std::vector<std::uint64_t> idle_mask_;
+  std::vector<std::uint64_t> needs_vc_mask_;
+  std::vector<std::uint64_t> unsent_mask_;
 
   /// Per output port: free adaptive output VCs (owner < 0 among VCs
   /// 1..vcs-1). Lets a blocked header skip a fully-owned port with one load
   /// instead of vcs-1 owner probes every VA cycle.
   std::vector<int> free_adaptive_;
+
+  /// Same-step reservations of this step's VA pass (capacity: one per
+  /// input VC); empty between steps.
+  std::vector<Reservation> reserved_;
+  std::size_t n_reserved_ = 0;
 
   Cycle now_ = 0;  ///< updated by step(); used for SA readiness checks
 

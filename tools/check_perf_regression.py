@@ -10,7 +10,15 @@ fails (exit 1) when:
     sim_cycle_lowload.speedup.* ratios a *drop* below
     baseline / max-regression is the failure, while for durations and
     probe counts a rise above baseline * max-regression is, or
-  * the 8-thread sweep speedup dropped below --min-speedup-t8 (default 2.0).
+  * the 8-thread sweep speedup dropped below --min-speedup-t8 (default 2.0),
+    or
+  * an exact work count (work.*, e.g. router-steps / flits routed / heads
+    revoked / VA stalls of bench_perf_micro's fixed saturated n91 run)
+    differs from the baseline in either direction, or is missing from the
+    fresh JSON. These counts are deterministic, so they give the same
+    answer on every host: a rise is an algorithmic regression, any other
+    change means simulation behaviour moved and the baseline must be
+    re-recorded deliberately.
 
 search.* metrics (the arrangement-search subsystem: incremental-rebuild
 times, end-to-end search wall clock) are compared with the same threshold
@@ -41,6 +49,8 @@ import sys
 
 GUARDED_PREFIXES = ("sim_cycle.", "sim_cycle_lowload.", "sat.probes.")
 GUARDED_KEYS = ("sweep21.wall_s.t1",)
+# Deterministic work counts: compared for exact equality, on any host.
+EXACT_PREFIXES = ("work.",)
 # Guarded metrics where *higher* is better (speedup ratios): a drop below
 # baseline / max-regression is the failure, not a rise above it.
 GUARDED_HIGHER_IS_BETTER = ("sim_cycle_lowload.speedup.",)
@@ -86,7 +96,23 @@ def main():
     fresh = load(args.fresh)
     failures = []
 
+    for key in sorted(baseline):
+        if key.startswith(EXACT_PREFIXES) and key not in fresh:
+            failures.append(f"{key}: missing from the fresh JSON")
+            print(f"  {key}: {baseline[key]:.0f} -> missing EXACT MISMATCH")
+
     for key in sorted(fresh):
+        if key.startswith(EXACT_PREFIXES):
+            if key not in baseline:
+                print(f"  new metric (no baseline): {key} = {fresh[key]:.0f}")
+            elif fresh[key] != baseline[key]:
+                failures.append(f"{key}: {baseline[key]:.0f} -> "
+                                f"{fresh[key]:.0f} (exact count changed)")
+                print(f"  {key}: {baseline[key]:.0f} -> {fresh[key]:.0f} "
+                      f"EXACT MISMATCH")
+            else:
+                print(f"  {key}: {fresh[key]:.0f} (exact) ok")
+            continue
         guarded = key in GUARDED_KEYS or key.startswith(GUARDED_PREFIXES)
         warn_only = key.startswith(WARN_PREFIXES)
         if not guarded and not warn_only:
