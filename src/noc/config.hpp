@@ -43,14 +43,6 @@ struct SimConfig {
   /// requests the always-draining escape network) while preventing the
   /// escape tree root from becoming the bottleneck at saturation.
   int escape_threshold = 20;
-  /// Switch-allocation iterations per cycle (iSLIP-style). The router's
-  /// allocator matches output ports to input ports greedily in one pass,
-  /// which is already maximal: a further pass could never add a grant, so
-  /// every value >= 1 simulates identically (test_router_busy_path pins 1
-  /// and 2 to the same results) and the router runs one pass. Kept as a
-  /// validated field so configs, cache keys and stored results stay as
-  /// they are.
-  int sa_iterations = 2;
   RoutingMode routing = RoutingMode::kMinimalAdaptive;
   /// Active-set stepping: Network::step walks only routers/links/endpoints
   /// that can make progress this cycle instead of sweeping every component.
@@ -99,9 +91,6 @@ struct SimConfig {
     }
     if (escape_threshold < 0) {
       throw std::invalid_argument("SimConfig: escape_threshold must be >= 0");
-    }
-    if (sa_iterations < 1) {
-      throw std::invalid_argument("SimConfig: sa_iterations must be >= 1");
     }
   }
 };

@@ -96,7 +96,6 @@ void Router::reset() {
     iv.flits_sent = 0;
     iv.blocked_cycles = 0;
     iv.cur_packet = 0;
-    iv.min_ports = {};
   }
   for (std::size_t p = 0; p < n_ports_; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
@@ -179,16 +178,6 @@ int Router::walk_circular(int start, Word word, Visit visit) const {
   }
 }
 
-std::span<const std::uint8_t> Router::minimal_ports_to(
-    graph::NodeId dst) const {
-  // Degraded view installed (mid-fault): route on the rebuilt tables with
-  // ids translated to the live subgraph (VA translates the returned ports
-  // back to physical ports).
-  return deg_tables_ == nullptr
-             ? tables_->minimal_ports(id_, dst)
-             : deg_tables_->minimal_ports(deg_live_[id_], deg_live_[dst]);
-}
-
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::route_compute(InputVc& iv, int iv_flat) {
   const Flit& head = iv.buf.front().flit;
@@ -213,7 +202,6 @@ void Router::route_compute(InputVc& iv, int iv_flat) {
   } else {
     iv.out_is_ejection = false;
     iv.blocked_cycles = 0;
-    iv.min_ports = {};  // looked up by the first minimal VA attempt
     set_state(iv, iv_flat, VcState::kNeedsVc);
   }
 }
@@ -256,8 +244,12 @@ void Router::try_allocate_vc(InputVc& iv, int iv_flat) {
   const bool use_minimal = cfg_.routing != RoutingMode::kUpDownOnly &&
                            !head.escape && cfg_.vcs > 1;
   if (use_minimal) {
-    if (iv.min_ports.data() == nullptr) iv.min_ports = minimal_ports_to(dst);
-    const std::span<const std::uint8_t> ports = iv.min_ports;
+    // Degraded view installed (mid-fault): route on the rebuilt tables with
+    // ids translated to the live subgraph.
+    const std::span<const std::uint8_t> ports =
+        deg_tables_ == nullptr
+            ? tables_->minimal_ports(id_, dst)
+            : deg_tables_->minimal_ports(deg_live_[id_], deg_live_[dst]);
     std::size_t j = 0;
     std::size_t count = ports.size();
     if (cfg_.routing == RoutingMode::kDeterministicMinimal) {
@@ -446,11 +438,10 @@ void Router::switch_allocate(Cycle now) {
   // derived from the cycle number (see step()), so it is skip-invariant.
   // Ports without a grantable requester cannot grant; skipping them touches
   // nothing. The pass is already a maximal matching, so further
-  // iSLIP-style passes (cfg.sa_iterations > 1) could never add a grant: a
-  // port that found no winner keeps none, because its requesters' credits
-  // and buffers change only through grants at that same port, readiness
-  // does not change within a step, and matched input ports only
-  // accumulate.
+  // iSLIP-style passes could never add a grant: a port that found no
+  // winner keeps none, because its requesters' credits and buffers change
+  // only through grants at that same port, readiness does not change
+  // within a step, and matched input ports only accumulate.
   std::size_t out_p =
       static_cast<std::size_t>(now % static_cast<Cycle>(n_ports_));
   for (std::size_t i = 0; i < n_ports_; ++i) {
@@ -519,8 +510,6 @@ void Router::set_degraded(const RoutingTables* tables,
   deg_tables_ = tables;
   deg_live_ = live_id;
   deg_port_map_ = port_map;
-  // Cached minimal-port spans belong to the previous view.
-  for (InputVc& iv : in_) iv.min_ports = {};
 }
 
 void Router::fault_kill_port(std::size_t port) {

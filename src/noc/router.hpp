@@ -249,11 +249,6 @@ class Router {
     /// empty mid-packet (body still upstream), so fault excision needs the
     /// id recorded at route compute, not the front flit.
     std::uint32_t cur_packet = 0;
-    /// Minimal output ports of the head toward its destination under the
-    /// routing view in force, looked up by the head's first minimal VA
-    /// attempt so retries skip the table lookup. Null data = not looked up
-    /// yet (RC and set_degraded reset it).
-    std::span<const std::uint8_t> min_ports;
   };
 
   struct OutputVc {
@@ -323,8 +318,6 @@ class Router {
   template <class Word, class Visit>
   int walk_circular(int start, Word word, Visit visit) const;
 
-  [[nodiscard]] std::span<const std::uint8_t> minimal_ports_to(
-      graph::NodeId dst) const;
   void route_compute(InputVc& iv, int iv_flat);
   void try_allocate_vc(InputVc& iv, int iv_flat);
   void claim_vc(InputVc& iv, int iv_flat, std::size_t port, int vc,

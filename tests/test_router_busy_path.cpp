@@ -110,7 +110,6 @@ struct Case {
   RoutingMode routing;
   int vcs;
   int endpoints;
-  int sa_iterations;
   Fingerprint expected;
 };
 
@@ -120,64 +119,37 @@ constexpr RoutingMode kUpDown = RoutingMode::kUpDownOnly;
 
 // Recorded from the full-scan router on HexaMesh N=19, seed 42, windows
 // 400/400/800 at kOverload.
-// {routing, vcs, endpoints, sa_iterations,
+// {routing, vcs, endpoints,
 //  {flits_routed, router_steps, heads_revoked, va_stall_cycles,
 //   packets_delivered, latency_sum}}
 const Case kCases[] = {
-    {kAdaptive, 1, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kAdaptive, 1, 1, 2, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kAdaptive, 1, 2, 1, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kAdaptive, 1, 2, 2, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kAdaptive, 1, 4, 1, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kAdaptive, 1, 4, 2, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kAdaptive, 2, 1, 1, {24610, 27533, 57248, 19389, 1781, 197309}},
-    {kAdaptive, 2, 1, 2, {24610, 27533, 57248, 19389, 1781, 197309}},
-    {kAdaptive, 2, 2, 1, {28749, 30336, 97489, 68397, 2138, 280234}},
-    {kAdaptive, 2, 2, 2, {28749, 30336, 97489, 68397, 2138, 280234}},
-    {kAdaptive, 2, 4, 1, {28076, 30366, 112966, 187567, 2211, 149987}},
-    {kAdaptive, 2, 4, 2, {28076, 30366, 112966, 187567, 2211, 149987}},
-    {kAdaptive, 8, 1, 1, {47022, 19221, 22109, 926, 3403, 172739}},
-    {kAdaptive, 8, 1, 2, {47022, 19221, 22109, 926, 3403, 172739}},
-    {kAdaptive, 8, 2, 1, {126410, 30336, 179099, 156455, 9286, 613291}},
-    {kAdaptive, 8, 2, 2, {126410, 30336, 179099, 156455, 9286, 613291}},
-    {kAdaptive, 8, 4, 1, {116759, 30366, 375100, 668308, 8939, 973732}},
-    {kAdaptive, 8, 4, 2, {116759, 30366, 375100, 668308, 8939, 973732}},
-    {kDeterministic, 1, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kDeterministic, 1, 1, 2, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kDeterministic, 1, 2, 1, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kDeterministic, 1, 2, 2, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kDeterministic, 1, 4, 1, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kDeterministic, 1, 4, 2, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kDeterministic, 2, 1, 1, {16154, 30220, 50198, 34531, 1172, 135995}},
-    {kDeterministic, 2, 1, 2, {16154, 30220, 50198, 34531, 1172, 135995}},
-    {kDeterministic, 2, 2, 1, {14790, 30338, 60930, 90827, 1115, 87552}},
-    {kDeterministic, 2, 2, 2, {14790, 30338, 60930, 90827, 1115, 87552}},
-    {kDeterministic, 2, 4, 1, {14612, 30366, 65639, 211954, 1193, 64118}},
-    {kDeterministic, 2, 4, 2, {14612, 30366, 65639, 211954, 1193, 64118}},
-    {kDeterministic, 8, 1, 1, {60188, 30193, 83958, 83795, 4355, 267918}},
-    {kDeterministic, 8, 1, 2, {60188, 30193, 83958, 83795, 4355, 267918}},
-    {kDeterministic, 8, 2, 1, {58579, 30338, 161942, 333838, 4386, 372016}},
-    {kDeterministic, 8, 2, 2, {58579, 30338, 161942, 333838, 4386, 372016}},
-    {kDeterministic, 8, 4, 1, {54284, 30366, 189430, 820771, 4370, 278011}},
-    {kDeterministic, 8, 4, 2, {54284, 30366, 189430, 820771, 4370, 278011}},
-    {kUpDown, 1, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kUpDown, 1, 1, 2, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kUpDown, 1, 2, 1, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kUpDown, 1, 2, 2, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kUpDown, 1, 4, 1, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kUpDown, 1, 4, 2, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kUpDown, 2, 1, 1, {16643, 30205, 55120, 28381, 1215, 135183}},
-    {kUpDown, 2, 1, 2, {16643, 30205, 55120, 28381, 1215, 135183}},
-    {kUpDown, 2, 2, 1, {14129, 30338, 59929, 92011, 1067, 90204}},
-    {kUpDown, 2, 2, 2, {14129, 30338, 59929, 92011, 1067, 90204}},
-    {kUpDown, 2, 4, 1, {14654, 30366, 65451, 211835, 1183, 50633}},
-    {kUpDown, 2, 4, 2, {14654, 30366, 65451, 211835, 1183, 50633}},
-    {kUpDown, 8, 1, 1, {59768, 30192, 85437, 86294, 4325, 291534}},
-    {kUpDown, 8, 1, 2, {59768, 30192, 85437, 86294, 4325, 291534}},
-    {kUpDown, 8, 2, 1, {59601, 30338, 156079, 328767, 4474, 372295}},
-    {kUpDown, 8, 2, 2, {59601, 30338, 156079, 328767, 4474, 372295}},
-    {kUpDown, 8, 4, 1, {53644, 30366, 185635, 819633, 4311, 253376}},
-    {kUpDown, 8, 4, 2, {53644, 30366, 185635, 819633, 4311, 253376}},
+    {kAdaptive, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
+    {kAdaptive, 1, 2, {6892, 30338, 30050, 46404, 515, 31926}},
+    {kAdaptive, 1, 4, {6730, 30366, 34410, 107427, 559, 24810}},
+    {kAdaptive, 2, 1, {24610, 27533, 57248, 19389, 1781, 197309}},
+    {kAdaptive, 2, 2, {28749, 30336, 97489, 68397, 2138, 280234}},
+    {kAdaptive, 2, 4, {28076, 30366, 112966, 187567, 2211, 149987}},
+    {kAdaptive, 8, 1, {47022, 19221, 22109, 926, 3403, 172739}},
+    {kAdaptive, 8, 2, {126410, 30336, 179099, 156455, 9286, 613291}},
+    {kAdaptive, 8, 4, {116759, 30366, 375100, 668308, 8939, 973732}},
+    {kDeterministic, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
+    {kDeterministic, 1, 2, {6892, 30338, 30050, 46404, 515, 31926}},
+    {kDeterministic, 1, 4, {6730, 30366, 34410, 107427, 559, 24810}},
+    {kDeterministic, 2, 1, {16154, 30220, 50198, 34531, 1172, 135995}},
+    {kDeterministic, 2, 2, {14790, 30338, 60930, 90827, 1115, 87552}},
+    {kDeterministic, 2, 4, {14612, 30366, 65639, 211954, 1193, 64118}},
+    {kDeterministic, 8, 1, {60188, 30193, 83958, 83795, 4355, 267918}},
+    {kDeterministic, 8, 2, {58579, 30338, 161942, 333838, 4386, 372016}},
+    {kDeterministic, 8, 4, {54284, 30366, 189430, 820771, 4370, 278011}},
+    {kUpDown, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
+    {kUpDown, 1, 2, {6892, 30338, 30050, 46404, 515, 31926}},
+    {kUpDown, 1, 4, {6730, 30366, 34410, 107427, 559, 24810}},
+    {kUpDown, 2, 1, {16643, 30205, 55120, 28381, 1215, 135183}},
+    {kUpDown, 2, 2, {14129, 30338, 59929, 92011, 1067, 90204}},
+    {kUpDown, 2, 4, {14654, 30366, 65451, 211835, 1183, 50633}},
+    {kUpDown, 8, 1, {59768, 30192, 85437, 86294, 4325, 291534}},
+    {kUpDown, 8, 2, {59601, 30338, 156079, 328767, 4474, 372295}},
+    {kUpDown, 8, 4, {53644, 30366, 185635, 819633, 4311, 253376}},
 };
 
 TEST(RouterBusyPath, FingerprintsAcrossRouterSpecializations) {
@@ -187,12 +159,11 @@ TEST(RouterBusyPath, FingerprintsAcrossRouterSpecializations) {
     cfg.routing = c.routing;
     cfg.vcs = c.vcs;
     cfg.endpoints_per_chiplet = c.endpoints;
-    cfg.sa_iterations = c.sa_iterations;
     Simulator sim(topo, cfg);
     (void)sim.run_latency(kOverload, 400, 400, 800);
     EXPECT_EQ(fingerprint(sim), c.expected)
         << "routing=" << static_cast<int>(c.routing) << " vcs=" << c.vcs
-        << " endpoints=" << c.endpoints << " sa_iterations=" << c.sa_iterations
+        << " endpoints=" << c.endpoints
         << " got " << to_string(fingerprint(sim));
   }
 }
