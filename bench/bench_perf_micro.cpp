@@ -247,6 +247,33 @@ void bench_saturation_probes() {
   }
 }
 
+void bench_evaluation_probes() {
+  // Exact saturation probes of one full core::evaluate() at the
+  // EvaluationParams defaults (the evaluator's windows, unlike the 400-cycle
+  // windows above), counted through the sat.probes telemetry counter. Same
+  // in --smoke and full mode; check_perf_regression.py fails on any change
+  // to a work.* key.
+  const bool was_enabled = hm::telemetry::enabled();
+  hm::telemetry::set_enabled(true);
+  for (const auto& [type, name] :
+       {std::pair{ArrangementType::kGrid, "grid"},
+        std::pair{ArrangementType::kHexaMesh, "hexamesh"}}) {
+    hm::core::EvaluationParams params;
+    params.sim.seed = 1;
+    const auto probes_before =
+        hm::telemetry::snapshot().counters["sat.probes"];
+    (void)hm::core::evaluate(make_arrangement(type, 37), params);
+    const auto probes =
+        hm::telemetry::snapshot().counters["sat.probes"] - probes_before;
+    const std::string key =
+        std::string("work.eval.sat_probes.") + name + ".n37";
+    std::printf("%-36s %12llu probes\n", key.c_str(),
+                static_cast<unsigned long long>(probes));
+    g_metrics[key] = static_cast<double>(probes);
+  }
+  hm::telemetry::set_enabled(was_enabled);
+}
+
 void bench_evaluate_analytic() {
   const auto arr = make_arrangement(ArrangementType::kHexaMesh, 91);
   report("evaluate_analytic.n91",
@@ -393,6 +420,7 @@ int main(int argc, char** argv) {
   bench_simulator_work();
   bench_simulator_lowload();
   bench_saturation_probes();
+  bench_evaluation_probes();
   bench_evaluate_analytic();
   bench_telemetry_overhead();
   bench_store_warm();

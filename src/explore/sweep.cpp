@@ -1,7 +1,10 @@
 #include "explore/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
 
 #include "explore/cached_eval.hpp"
@@ -55,6 +58,32 @@ std::vector<SweepPoint> SweepSpec::points() const {
   return out;
 }
 
+std::uint64_t predicted_cost(const SweepPoint& point) {
+  // Mean probes of one saturation search at the evaluator's windows (46
+  // probes over the 12 designs of a Fig. 7 sweep at N 16-61).
+  constexpr std::uint64_t kTypicalProbes = 4;
+  // Unsigned throughout: out-of-range windows (which evaluate() rejects)
+  // must not make the estimate overflow a signed type.
+  const auto u = [](auto v) { return static_cast<std::uint64_t>(v); };
+  const core::EvaluationParams& p = point.params;
+  std::uint64_t cycles = 0;  // simulated per endpoint
+  if (p.measure_latency) cycles += u(p.latency_warmup) + u(p.latency_measure);
+  if (p.measure_saturation) {
+    cycles +=
+        kTypicalProbes * (u(p.throughput_warmup) + u(p.throughput_measure));
+  }
+  if (p.faults.enabled()) {
+    // Upper bound: a graph with fewer killable links yields fewer plans.
+    const std::uint64_t plans = p.faults.explicit_plans.size() +
+                                u(p.faults.single_link_kills) +
+                                (p.faults.storm_kills > 0 ? 1 : 0);
+    cycles += plans * (u(p.faults.warmup) + u(p.faults.measure));
+  }
+  const std::uint64_t routers = point.chiplet_count;
+  if (routers < 2 || cycles == 0) return routers;  // analytic only
+  return routers * u(p.sim.endpoints_per_chiplet) * cycles;
+}
+
 SweepEngine::SweepEngine() : SweepEngine(Options{}) {}
 
 SweepEngine::SweepEngine(Options options)
@@ -87,17 +116,10 @@ SweepRecord SweepEngine::evaluate_point(const SweepPoint& point) {
     const core::Arrangement arr =
         point.custom ? *point.custom
                      : core::make_arrangement(point.type, point.chiplet_count);
-    // Intra-design probes go through a per-job bounded adapter so one job
-    // cannot flood the shared pool with speculative probes (policy in
-    // Options::intra_design_parallelism / max_intra_probes).
-    BoundedProbeExecutor bounded(&pool_, options_.max_intra_probes);
-    noc::ProbeExecutor* executor =
-        options_.intra_design_parallelism ? &bounded : nullptr;
-
     CachedEvalOutcome outcome;
     rec.result = cached_evaluate(arr, point.params, point.traffic,
                                  options_.use_cache ? &cache_ : nullptr,
-                                 executor, &outcome);
+                                 nullptr, &outcome);
     rec.from_cache = outcome.from_cache;
     rec.analytic_only = outcome.analytic_only;
   } catch (const std::exception& e) {
@@ -108,6 +130,10 @@ SweepRecord SweepEngine::evaluate_point(const SweepPoint& point) {
   rec.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  static telemetry::Histogram job_us(
+      "sweep.job_us", {1000, 3000, 10000, 30000, 100000, 300000, 1000000,
+                       3000000, 10000000, 30000000, 100000000});
+  job_us.record(static_cast<std::uint64_t>(rec.wall_seconds * 1e6));
   return rec;
 }
 
@@ -147,11 +173,22 @@ std::vector<SweepRecord> SweepEngine::run(const SweepSpec& spec) {
     }
   }
 
+  // Longest processing time first: the pool claims jobs in vector order,
+  // so the most expensive designs start first instead of setting the
+  // makespan at the tail. Each job still writes records[i].
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&points](std::size_t a, std::size_t b) {
+                     return predicted_cost(points[a]) >
+                            predicted_cost(points[b]);
+                   });
+
   std::vector<SweepRecord> records(points.size());
   std::size_t completed = 0;  // guarded by progress_mu_
   std::vector<std::function<void()>> jobs;
   jobs.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (const std::size_t i : order) {
     jobs.push_back([this, &points, &records, &completed, i] {
       records[i] = evaluate_point(points[i]);
       if (options_.on_progress) {

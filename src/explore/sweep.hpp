@@ -58,6 +58,15 @@ struct SweepPoint {
   std::string label;
 };
 
+/// Predicted work of evaluating `point`: the simulated endpoint-cycles it
+/// will run, from its params and chiplet count alone (routers x
+/// endpoints_per_chiplet x the cycles of the latency run, of a typical
+/// saturation search and of the fault plans it enables). An analytic-only
+/// point costs its chiplet count, far below any simulated point at
+/// realistic windows. Only orders dispatch: it builds no arrangement,
+/// runs no analytic evaluation and looks nothing up in a cache.
+[[nodiscard]] std::uint64_t predicted_cost(const SweepPoint& point);
+
 /// The sweep description. Empty grids default to a single entry.
 struct SweepSpec {
   std::vector<core::ArrangementType> types = {
@@ -115,27 +124,6 @@ class SweepEngine {
     /// Total worker concurrency (see ThreadPool); 0 = hardware threads.
     unsigned threads = 0;
     bool use_cache = true;
-    /// Parallelize the probes *inside* one design evaluation too (the
-    /// latency run and the speculative saturation probes). Worthwhile when
-    /// the sweep has fewer points than threads; off by default because a
-    /// saturated pool gains nothing from the extra speculative probes.
-    ///
-    /// Scheduling policy: intra-design probes share the one sweep pool
-    /// with every other job (no extra threads are ever spawned, so the
-    /// pool cannot oversubscribe the machine), but each job's probe
-    /// batches are throttled through a BoundedProbeExecutor so at most
-    /// `max_intra_probes` of its probes are in flight at once. Without the
-    /// cap, N concurrent jobs each fanning out speculative saturation
-    /// probes flood the queue with work the binary search may discard,
-    /// and every issuing worker sits idle in its nested batch wait
-    /// ("deadlock-idle": forward progress is guaranteed — the issuer
-    /// drains its own batch — but a worker waiting on nested stragglers
-    /// cannot steal other batches' work). The cap bounds that waste per
-    /// job; results are bit-identical either way.
-    bool intra_design_parallelism = false;
-    /// In-flight cap per job for intra-design probes (see above). <= 1
-    /// runs every intra-design probe inline on the job's own worker.
-    std::size_t max_intra_probes = 4;
     /// Directory of a persistent store::ResultStore attached under the
     /// cache (opened/created in the constructor; empty = memory only).
     /// A warm store turns re-runs of the same sweep into pure lookups.
@@ -168,6 +156,12 @@ class SweepEngine {
   /// arrangements registered via add_arrangement); records are returned in
   /// point order regardless of completion order. Re-entrant per engine:
   /// call run() repeatedly to reuse the cache across related sweeps.
+  ///
+  /// Dispatch order: jobs are handed to the pool by descending
+  /// predicted_cost(), ties in point-index order (longest processing time
+  /// first), so on_progress reports completions in that order at one
+  /// thread. Each job still writes its own record slot, so records,
+  /// exports, seeds and cache keys do not depend on the order.
   [[nodiscard]] std::vector<SweepRecord> run(const SweepSpec& spec);
 
   [[nodiscard]] ResultCache& cache() noexcept { return cache_; }

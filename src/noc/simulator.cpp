@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
@@ -272,7 +274,11 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   auto run_one = [&](double rate) {
     telemetry::Span span("sat.probe");
     static telemetry::Counter probes_run("sat.probes");
+    static telemetry::Histogram probe_us(
+        "sat.probe_us", {1000, 3000, 10000, 30000, 100000, 300000, 1000000,
+                         3000000, 10000000, 30000000});
     probes_run.add();
+    const auto start = std::chrono::steady_clock::now();
     SimConfig probe_cfg = cfg;
     if (opts.per_probe_seeds) {
       probe_cfg.seed = derive_seed(cfg.seed, saturation_rate_key(rate));
@@ -281,7 +287,13 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
     // to a fresh network on the shared topology, minus the allocator churn).
     Simulator sim(SimulationArena::local(), topo, probe_cfg);
     sim.set_traffic(traffic);
-    return sim.run_throughput(rate, opts.warmup, opts.measure);
+    const ThroughputResult out =
+        sim.run_throughput(rate, opts.warmup, opts.measure);
+    probe_us.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));  // dropped unless telemetry is enabled
+    return out;
   };
 
   // Memoized probes, batched through the executor when one is available.

@@ -307,6 +307,106 @@ TEST(SweepEngine, PerJobSeedsAreDerivedAndStable) {
   EXPECT_EQ(seeds.size(), points1.size());
 }
 
+// ---------------------------------------------- cost-ordered dispatch
+
+SweepPoint cost_point(std::size_t chiplets, const core::EvaluationParams& p) {
+  SweepPoint point;
+  point.chiplet_count = chiplets;
+  point.params = p;
+  return point;
+}
+
+TEST(PredictedCost, GrowsWithChipletsAndEndpoints) {
+  const auto p = tiny_sim_params();
+  EXPECT_LT(predicted_cost(cost_point(4, p)), predicted_cost(cost_point(7, p)));
+  EXPECT_LT(predicted_cost(cost_point(7, p)), predicted_cost(cost_point(9, p)));
+  auto more_endpoints = p;
+  more_endpoints.sim.endpoints_per_chiplet = p.sim.endpoints_per_chiplet + 2;
+  EXPECT_LT(predicted_cost(cost_point(7, p)),
+            predicted_cost(cost_point(7, more_endpoints)));
+}
+
+TEST(PredictedCost, SaturationAboveLatencyOnlyAboveAnalyticOnly) {
+  const core::EvaluationParams full;
+  auto latency_only = full;
+  latency_only.measure_saturation = false;
+  auto analytic_only = latency_only;
+  analytic_only.measure_latency = false;
+  const auto sat = predicted_cost(cost_point(7, full));
+  const auto lat = predicted_cost(cost_point(7, latency_only));
+  const auto ana = predicted_cost(cost_point(7, analytic_only));
+  EXPECT_GT(sat, lat);
+  EXPECT_GT(lat, ana);
+  EXPECT_EQ(ana, 7u);  // analytic-only points cost their chiplet count
+  // ... so even a large analytic-only point sorts after a small simulated one.
+  EXPECT_GT(predicted_cost(cost_point(4, latency_only)),
+            predicted_cost(cost_point(271, analytic_only)));
+  // A single chiplet has no ICI to simulate.
+  EXPECT_EQ(predicted_cost(cost_point(1, full)), 1u);
+}
+
+TEST(PredictedCost, EnabledFaultsAddCost) {
+  const auto p = tiny_sim_params();
+  auto faulty = p;
+  faulty.faults.single_link_kills = 2;
+  EXPECT_GT(predicted_cost(cost_point(7, faulty)),
+            predicted_cost(cost_point(7, p)));
+  auto storm = faulty;
+  storm.faults.storm_kills = 3;
+  EXPECT_GT(predicted_cost(cost_point(7, storm)),
+            predicted_cost(cost_point(7, faulty)));
+  // A fault scenario alone is a simulated point, not an analytic one.
+  faulty.measure_latency = false;
+  faulty.measure_saturation = false;
+  EXPECT_GT(predicted_cost(cost_point(7, faulty)), 7u);
+}
+
+/// Runs 3 families x N {4, 7, 9} (indices 0-8, family-major) plus one
+/// registered HexaMesh-7 arrangement (index 9) at `threads`, appending the
+/// index of every completed point to `completed` when given. Index order
+/// is not cost order.
+std::vector<SweepRecord> run_cost_order_sweep(
+    unsigned threads, std::vector<std::size_t>* completed = nullptr) {
+  SweepEngine::Options opt;
+  opt.threads = threads;
+  if (completed != nullptr) {
+    opt.on_progress = [completed](const SweepProgress& p) {
+      completed->push_back(p.last->point.index);
+    };
+  }
+  SweepEngine engine(opt);
+  engine.add_arrangement(
+      core::make_arrangement(core::ArrangementType::kHexaMesh, 7),
+      "searched-7");
+  SweepSpec spec;
+  spec.chiplet_counts = {4, 7, 9};
+  spec.param_grid = {tiny_sim_params()};
+  return engine.run(spec);
+}
+
+TEST(SweepEngine, DispatchesMostExpensivePointsFirst) {
+  std::vector<std::size_t> completed;
+  const auto records = run_cost_order_sweep(1, &completed);
+
+  // Descending cost, ties in index order: the N=9 points, then the N=7
+  // points with the registered arrangement last among them, then N=4.
+  const std::vector<std::size_t> expected = {2, 5, 8, 1, 4, 7, 9, 0, 3, 6};
+  EXPECT_EQ(completed, expected);
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].point.index, i);
+    EXPECT_TRUE(records[i].error.empty()) << records[i].error;
+  }
+  EXPECT_EQ(records[9].point.label, "searched-7");
+}
+
+TEST(SweepEngine, CostOrderedSweepByteIdenticalAcrossThreadCounts) {
+  const auto csv1 = to_csv(run_cost_order_sweep(1));
+  EXPECT_EQ(csv1, to_csv(run_cost_order_sweep(2)));
+  EXPECT_EQ(csv1, to_csv(run_cost_order_sweep(4)));
+  EXPECT_NE(csv1.find("searched-7"), std::string::npos);
+}
+
 // --------------------------------------------- parallel evaluate() probes
 
 TEST(ParallelEvaluate, ExecutorMatchesSequentialBitForBit) {

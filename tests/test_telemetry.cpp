@@ -10,7 +10,9 @@
 //     complete "X" event per finished span across threads;
 //   * and the headline rule — telemetry never perturbs simulation — by
 //     re-running the committed golden sweep with the registry *and* the
-//     tracer armed at 1/4/8 threads and requiring byte-identical exports.
+//     tracer armed at 1/4/8 threads and requiring byte-identical exports,
+//     while the library's own histograms (sweep.job_us, sat.probe_us)
+//     record one sample per job and per probe.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -262,6 +264,12 @@ TEST_P(TelemetryGoldenSweep, ExportsUnchangedWithTelemetryOn) {
   EXPECT_GT(snap.counters.at("sim.flits_routed"), 0u);
   EXPECT_GT(snap.counters.at("pool.jobs_run"), 0u);
   EXPECT_GT(snap.counters.at("sat.probes"), 0u);
+  // The library's histograms time every sweep job and every probe: one
+  // sample per counted event.
+  EXPECT_EQ(snap.histograms.at("sweep.job_us").count,
+            snap.counters.at("sweep.jobs"));
+  EXPECT_EQ(snap.histograms.at("sat.probe_us").count,
+            snap.counters.at("sat.probes"));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TelemetryGoldenSweep,
