@@ -19,7 +19,9 @@ double knee(const hm::core::Arrangement& arr, hm::noc::RoutingMode mode) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 3000;
   opts.measure = 3000;
-  return hm::noc::find_saturation(arr.graph(), cfg, opts).accepted_flit_rate;
+  return hm::noc::find_saturation(
+             hm::noc::TopologyContext::acquire(arr.graph()), cfg, opts)
+      .accepted_flit_rate;
 }
 
 }  // namespace

@@ -17,8 +17,10 @@ int main() {
               "hexamesh N=37 (rel sat.)");
   hm::bench::rule(68);
 
-  const auto grid = make_arrangement(ArrangementType::kGrid, 36);
-  const auto hexa = make_arrangement(ArrangementType::kHexaMesh, 37);
+  const auto grid = hm::noc::TopologyContext::acquire(
+      make_arrangement(ArrangementType::kGrid, 36).graph());
+  const auto hexa = hm::noc::TopologyContext::acquire(
+      make_arrangement(ArrangementType::kHexaMesh, 37).graph());
   hm::noc::SaturationSearchOptions search;
   search.warmup = 3000;
   search.measure = 3000;
@@ -26,9 +28,9 @@ int main() {
     hm::noc::SimConfig cfg;
     cfg.vcs = vcs;
     const double tg =
-        hm::noc::find_saturation(grid.graph(), cfg, search).accepted_flit_rate;
+        hm::noc::find_saturation(grid, cfg, search).accepted_flit_rate;
     const double th =
-        hm::noc::find_saturation(hexa.graph(), cfg, search).accepted_flit_rate;
+        hm::noc::find_saturation(hexa, cfg, search).accepted_flit_rate;
     std::printf("%4d | %10.4f %17s | %10.4f\n", vcs, tg, "", th);
     std::fflush(stdout);
   }

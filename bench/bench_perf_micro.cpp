@@ -218,9 +218,11 @@ void bench_simulator_lowload() {
 }
 
 void bench_saturation_probes() {
-  // Probe count of the saturation search, plain bisection vs the
-  // analytically-seeded surrogate gallop (both return the same rate;
-  // test_active_set pins that — this tracks the probe budget).
+  // Probe count of the saturation search without an estimate (full-rate
+  // bracket, then the bisection: key "plain") vs with the analytic
+  // estimate's gallop bracket (key "surrogate"). Both return the same rate
+  // (test_active_set pins that); this tracks the probe budget. Exact
+  // counts, the same in --smoke and full mode.
   const auto arr = make_arrangement(ArrangementType::kHexaMesh, 37);
   const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
   hm::noc::SimConfig cfg;
@@ -242,7 +244,8 @@ void bench_saturation_probes() {
   std::printf("%-36s %12d probes\n", "sat.probes.surrogate.n37",
               pruned.probes);
   if (plain.saturation_flit_rate != pruned.saturation_flit_rate) {
-    std::printf("WARNING: surrogate search diverged from plain (%f vs %f)\n",
+    std::printf(
+        "WARNING: surrogate search diverged from unseeded (%f vs %f)\n",
                 pruned.saturation_flit_rate, plain.saturation_flit_rate);
   }
 }

@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 3000;
   opts.measure = 3000;
-  const auto sat = hm::noc::find_saturation(plan.extended, cfg, opts, spec);
+  const auto sat = hm::noc::find_saturation(
+      hm::noc::TopologyContext::acquire(plan.extended), cfg, opts, spec);
   std::printf("hotspot-to-I/O saturation: %.3f of full injection rate\n",
               sat.accepted_flit_rate);
   tcli.finish();

@@ -136,29 +136,11 @@ EvaluationResult evaluate(const Arrangement& arr,
                           const EvaluationParams& params,
                           const noc::TrafficSpec& traffic,
                           noc::ProbeExecutor* executor) {
-  return evaluate_simulation(arr, params, evaluate_analytic(arr, params),
-                             traffic, executor);
-}
-
-EvaluationResult evaluate(const Arrangement& arr,
-                          const EvaluationParams& params,
-                          const noc::TrafficSpec& traffic,
-                          noc::ProbeExecutor* executor,
-                          std::shared_ptr<const noc::TopologyContext> topology) {
-  return evaluate_simulation(arr, params, evaluate_analytic(arr, params),
-                             traffic, executor, std::move(topology));
-}
-
-EvaluationResult evaluate_simulation(const Arrangement& arr,
-                                     const EvaluationParams& params,
-                                     EvaluationResult analytic,
-                                     const noc::TrafficSpec& traffic,
-                                     noc::ProbeExecutor* executor) {
   // One shared topology for the latency run and every saturation probe;
   // the process-wide cache collapses repeated evaluations of the same
   // design (e.g. traffic/simulator ablations) onto one table build.
-  return evaluate_simulation(arr, params, std::move(analytic), traffic,
-                             executor,
+  return evaluate_simulation(arr, params, evaluate_analytic(arr, params),
+                             traffic, executor,
                              noc::TopologyContext::acquire(arr.graph()));
 }
 
@@ -191,7 +173,7 @@ EvaluationResult evaluate_simulation(
     r.latency_run_drained = lat.drained;
   };
 
-  // Saturation throughput (Fig. 7b): binary-search the knee of the
+  // Saturation throughput (Fig. 7b): search the knee of the
   // accepted-vs-offered curve (fresh network per probe, shared topology).
   auto saturation_run = [&] {
     noc::SaturationSearchOptions search;

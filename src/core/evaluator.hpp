@@ -48,7 +48,11 @@ struct EvaluationParams {
   noc::SimConfig sim;
 
   /// Simulation phase lengths (cycles). The throughput windows apply to
-  /// each probe of the saturation binary search (~8 probes per design).
+  /// each probe of the saturation search (4 probes per N=37 grid or
+  /// HexaMesh design at these defaults; bench_perf_micro's
+  /// work.eval.sat_probes.* keys pin that). evaluate() throws
+  /// std::invalid_argument for a negative warmup or drain limit or a
+  /// measure window <= 0.
   noc::Cycle latency_warmup = 3000;
   noc::Cycle latency_measure = 8000;
   noc::Cycle latency_drain_limit = 300000;
@@ -149,31 +153,15 @@ struct EvaluationResult {
                                         const noc::TrafficSpec& traffic = {},
                                         noc::ProbeExecutor* executor = nullptr);
 
-/// evaluate() on a pre-acquired shared topology for arr.graph(): the
-/// zero-load latency run and every saturation probe reuse `topology`
-/// read-only instead of rebuilding routing tables per fresh simulator.
-/// Throws std::invalid_argument when `topology` was built for a different
-/// graph. The overloads without a context acquire one per call, which the
-/// process-wide context cache still collapses to a single build per graph.
-[[nodiscard]] EvaluationResult evaluate(
-    const Arrangement& arr, const EvaluationParams& params,
-    const noc::TrafficSpec& traffic, noc::ProbeExecutor* executor,
-    std::shared_ptr<const noc::TopologyContext> topology);
-
 /// The simulation half of evaluate(): takes an `analytic` result already
 /// computed by evaluate_analytic(arr, params) and fills in the
-/// cycle-accurate fields. Lets callers (e.g. the sweep engine's
-/// ResultCache) share one analytic evaluation across many traffic or
-/// simulator ablations of the same design.
-[[nodiscard]] EvaluationResult evaluate_simulation(
-    const Arrangement& arr, const EvaluationParams& params,
-    EvaluationResult analytic, const noc::TrafficSpec& traffic = {},
-    noc::ProbeExecutor* executor = nullptr);
-
-/// evaluate_simulation() on a pre-acquired shared topology (see the
-/// evaluate() context overload). This is the entry point the sweep engine
-/// uses so that one topology build serves every probe of a job — and, via
-/// the context cache, every job of the same design.
+/// cycle-accurate fields, running the latency run and every saturation
+/// probe on `topology` read-only (evaluate() passes
+/// noc::TopologyContext::acquire(arr.graph())). Lets callers (e.g. the
+/// sweep engine's ResultCache) share one analytic evaluation across many
+/// traffic or simulator ablations of the same design. Throws
+/// std::invalid_argument when `topology` is null or was built for a
+/// different graph.
 [[nodiscard]] EvaluationResult evaluate_simulation(
     const Arrangement& arr, const EvaluationParams& params,
     EvaluationResult analytic, const noc::TrafficSpec& traffic,

@@ -1,13 +1,14 @@
 #include "noc/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
 #include "faults/controller.hpp"
@@ -21,6 +22,21 @@ namespace {
 /// of derive_seed(cfg.seed, ...) (per-router arbitration streams, per-job
 /// sweep seeds).
 constexpr std::uint64_t kTrafficStreamSalt = 0x6369666661725463ULL;
+
+/// find_saturation probes the dyadic grid k / kSaturationGridSteps, k in
+/// [1, kSaturationGridSteps]: resolution 1/64 of the full injection rate.
+constexpr int kSaturationGridSteps = 64;
+
+/// Rejects run windows with nothing to measure: a negative warmup or drain
+/// limit, or an empty measurement window (whose rates would divide by 0).
+void check_window(const char* run, Cycle warmup, Cycle measure,
+                  Cycle drain_limit = 0) {
+  if (warmup < 0 || measure <= 0 || drain_limit < 0) {
+    throw std::invalid_argument(
+        std::string("Simulator::") + run +
+        ": needs warmup >= 0, measure > 0 and drain_limit >= 0");
+  }
+}
 }  // namespace
 
 Simulator::Simulator(const graph::Graph& g, const SimConfig& cfg)
@@ -140,6 +156,7 @@ void Simulator::advance_until(Cycle limit, SyntheticTraffic& traffic) {
 
 LatencyResult Simulator::run_latency(double flit_rate, Cycle warmup,
                                      Cycle measure, Cycle drain_limit) {
+  check_window("run_latency", warmup, measure, drain_limit);
   SyntheticTraffic traffic(traffic_spec_, net_.num_endpoints(), flit_rate,
                            cfg_.packet_length);
   bind_traffic(traffic);
@@ -188,6 +205,7 @@ LatencyResult Simulator::run_latency(double flit_rate, Cycle warmup,
 
 ThroughputResult Simulator::run_throughput(double flit_rate, Cycle warmup,
                                            Cycle measure) {
+  check_window("run_throughput", warmup, measure);
   SyntheticTraffic traffic(traffic_spec_, net_.num_endpoints(), flit_rate,
                            cfg_.packet_length);
   bind_traffic(traffic);
@@ -218,6 +236,7 @@ ThroughputResult Simulator::run_throughput(double flit_rate, Cycle warmup,
 faults::ResilienceStats Simulator::run_resilience(double flit_rate,
                                                   const faults::FaultPlan& plan,
                                                   Cycle warmup, Cycle measure) {
+  check_window("run_resilience", warmup, measure);
   if (faults_ != nullptr) {
     throw std::logic_error(
         "Simulator::run_resilience: a fault plan is already armed on this "
@@ -235,25 +254,6 @@ faults::ResilienceStats Simulator::run_resilience(double flit_rate,
   return faults_->stats();
 }
 
-std::uint64_t saturation_rate_key(double rate) noexcept {
-  if (std::isnan(rate)) {
-    // Any NaN payload (or sign) collapses onto the canonical quiet NaN.
-    return std::bit_cast<std::uint64_t>(
-        std::numeric_limits<double>::quiet_NaN());
-  }
-  if (rate == 0.0) rate = 0.0;  // collapse -0.0 onto +0.0 (they compare ==)
-  return std::bit_cast<std::uint64_t>(rate);
-}
-
-SaturationResult find_saturation(const graph::Graph& g, const SimConfig& cfg,
-                                 const SaturationSearchOptions& opts,
-                                 const TrafficSpec& traffic,
-                                 ProbeExecutor* executor) {
-  // One topology build (or cache hit) for the whole probe sequence.
-  return find_saturation(TopologyContext::acquire(g), cfg, opts, traffic,
-                         executor);
-}
-
 SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
                                  const SimConfig& cfg,
                                  const SaturationSearchOptions& opts,
@@ -266,12 +266,15 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
                    static_cast<std::size_t>(cfg.endpoints_per_chiplet));
   telemetry::Span search_span("sat.search");
   SaturationResult result;
+  const auto rate_of = [](int k) {
+    return static_cast<double>(k) / static_cast<double>(kSaturationGridSteps);
+  };
 
-  // A probe's outcome is a pure function of its offered rate: it runs on a
-  // fresh network whose seed depends only on (cfg.seed, rate). That is the
-  // invariant that makes speculative parallel probing below bit-identical
-  // to the sequential search.
-  auto run_one = [&](double rate) {
+  // A probe's outcome is a pure function of its grid point: it runs on a
+  // fresh network seeded with cfg.seed. That is the invariant that makes
+  // speculative parallel probing below bit-identical to the sequential
+  // search.
+  auto run_one = [&](int k) {
     telemetry::Span span("sat.probe");
     static telemetry::Counter probes_run("sat.probes");
     static telemetry::Histogram probe_us(
@@ -279,16 +282,12 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
                          3000000, 10000000, 30000000});
     probes_run.add();
     const auto start = std::chrono::steady_clock::now();
-    SimConfig probe_cfg = cfg;
-    if (opts.per_probe_seeds) {
-      probe_cfg.seed = derive_seed(cfg.seed, saturation_rate_key(rate));
-    }
     // Reset-and-reuse network from the calling worker's arena (bit-identical
     // to a fresh network on the shared topology, minus the allocator churn).
-    Simulator sim(SimulationArena::local(), topo, probe_cfg);
+    Simulator sim(SimulationArena::local(), topo, cfg);
     sim.set_traffic(traffic);
     const ThroughputResult out =
-        sim.run_throughput(rate, opts.warmup, opts.measure);
+        sim.run_throughput(rate_of(k), opts.warmup, opts.measure);
     probe_us.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
@@ -296,42 +295,31 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
     return out;
   };
 
-  // Memoized probes, batched through the executor when one is available.
-  // Keyed by the rate's canonicalized bit pattern (saturation_rate_key:
-  // -0.0 folded onto +0.0, NaNs onto one NaN): probe rates repeat exactly
-  // (they are recomputed from the same midpoint arithmetic), so an O(1)
-  // bit-equality hash lookup replaces ordered exact-double operator<
-  // comparisons on the probe path.
-  std::unordered_map<std::uint64_t, ThroughputResult> memo;
-  const auto rate_key = [](double rate) { return saturation_rate_key(rate); };
-  auto ensure = [&](const std::vector<double>& rates) {
-    std::vector<double> missing;
-    for (double r : rates) {
-      if (!memo.contains(rate_key(r)) &&
-          std::find(missing.begin(), missing.end(), r) == missing.end()) {
-        missing.push_back(r);
+  // Memoized probes indexed by grid point, batched through the executor
+  // when one is available (jobs write distinct slots).
+  std::array<ThroughputResult, kSaturationGridSteps + 1> memo{};
+  std::array<bool, kSaturationGridSteps + 1> probed{};
+  auto ensure = [&](std::initializer_list<int> ks) {
+    std::vector<int> missing;
+    for (int k : ks) {
+      if (!probed[k]) {
+        probed[k] = true;
+        missing.push_back(k);
       }
     }
-    if (missing.empty()) return;
     result.probes += static_cast<int>(missing.size());
     if (executor != nullptr && missing.size() > 1) {
-      std::vector<ThroughputResult> out(missing.size());
       std::vector<std::function<void()>> jobs;
       jobs.reserve(missing.size());
-      for (std::size_t i = 0; i < missing.size(); ++i) {
-        jobs.push_back([&, i] { out[i] = run_one(missing[i]); });
-      }
+      for (int k : missing) jobs.push_back([&, k] { memo[k] = run_one(k); });
       executor->run_batch(jobs);
-      for (std::size_t i = 0; i < missing.size(); ++i) {
-        memo.emplace(rate_key(missing[i]), out[i]);
-      }
     } else {
-      for (double r : missing) memo.emplace(rate_key(r), run_one(r));
+      for (int k : missing) memo[k] = run_one(k);
     }
   };
-  auto probe = [&](double rate) -> const ThroughputResult& {
-    ensure({rate});
-    return memo.at(rate_key(rate));
+  auto probe = [&](int k) -> const ThroughputResult& {
+    ensure({k});
+    return memo[k];
   };
 
   // Stable = the source queues never overflowed during the measurement
@@ -342,56 +330,39 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   // windows from flapping on traffic-generation shot noise — below the
   // knee accepted tracks generated almost exactly, noise and all — which
   // is what makes probe outcomes monotone in practice (the property the
-  // surrogate-bracketed search below leans on).
-  auto stable = [&](const ThroughputResult& r) {
+  // surrogate gallop below leans on).
+  constexpr double kStability = 0.9;
+  auto stable_at = [&](int k) {
+    const ThroughputResult& r = probe(k);
     return r.dropped_packets == 0 &&
-           r.accepted_flit_rate >= opts.stability * r.generated_flit_rate;
+           r.accepted_flit_rate >= kStability * r.generated_flit_rate;
   };
 
-  // --- Surrogate-bracketed search ------------------------------------------
-  // Gallop outward from the analytic estimate on the dyadic grid
-  // k / 2^iterations — exactly the rates the plain bisection can probe
-  // (its midpoints are dyadic, hence exactly representable, so memo keys
-  // coincide) — then binary-search the bracket. Probe outcomes are a pure
-  // function of the rate, so under monotone outcomes this returns the same
-  // grid point and accepted rate as the plain search (test_active_set pins
-  // this) in ~2 + log2(estimate error in grid steps) probes instead of
-  // iterations + 1.
-  if (opts.surrogate_rate >= 0.0 && opts.iterations >= 1) {
-    const int scale = 1 << opts.iterations;
-    const auto rate_of = [scale](int k) {
-      return static_cast<double>(k) / static_cast<double>(scale);
-    };
-    auto stable_at = [&](int k) { return stable(probe(rate_of(k))); };
-
-    int k0 = static_cast<int>(std::lround(opts.surrogate_rate * scale));
-    k0 = std::clamp(k0, 1, scale);
-    if (executor != nullptr && k0 < scale) {
+  // --- Bracket: lo_k stable (or 0, stable by definition), hi_k unstable ---
+  int lo_k = 0;
+  int hi_k = kSaturationGridSteps;
+  if (opts.surrogate_rate >= 0.0) {
+    // Gallop outward from the analytic estimate: ~2 + log2(estimate error
+    // in grid steps) probes for the whole search.
+    const int k0 = std::clamp(
+        static_cast<int>(std::lround(opts.surrogate_rate *
+                                     kSaturationGridSteps)),
+        1, kSaturationGridSteps);
+    if (executor != nullptr && k0 < kSaturationGridSteps) {
       // Prefetch the common good-estimate case: the bracket is (k0, k0+1).
-      ensure({rate_of(k0), rate_of(k0 + 1)});
+      ensure({k0, k0 + 1});
     }
-
-    int lo_k = 0;           // stable by definition (zero offered rate)
-    int hi_k = scale;       // overwritten by the gallop before use
     int jump = 1;
     if (stable_at(k0)) {
       lo_k = k0;
-      while (lo_k < scale) {
-        const int j = std::min(lo_k + jump, scale);
+      while (lo_k < kSaturationGridSteps) {
+        const int j = std::min(lo_k + jump, kSaturationGridSteps);
         jump *= 2;
-        if (stable_at(j)) {
-          lo_k = j;
-        } else {
+        if (!stable_at(j)) {
           hi_k = j;
           break;
         }
-      }
-      if (lo_k == scale) {
-        // Full rate is stable: injection-limited, same early return as the
-        // plain search's initial 1.0 probe.
-        result.saturation_flit_rate = 1.0;
-        result.accepted_flit_rate = probe(1.0).accepted_flit_rate;
-        return result;
+        lo_k = j;
       }
     } else {
       hi_k = k0;
@@ -405,87 +376,39 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
         hi_k = j;
       }
     }
-
-    // Bracket established: S(lo_k) stable (or lo_k == 0), S(hi_k) unstable.
-    while (hi_k - lo_k > 1) {
-      const int midk = (lo_k + hi_k) / 2;
-      if (executor != nullptr && hi_k - lo_k > 2) {
-        // Speculate both possible next midpoints alongside, as the plain
-        // parallel search does.
-        std::vector<double> batch{rate_of(midk)};
-        const int lmid = (lo_k + midk) / 2;
-        const int rmid = (midk + hi_k) / 2;
-        if (lmid > lo_k && lmid != midk && lmid > 0) {
-          batch.push_back(rate_of(lmid));
-        }
-        if (rmid < hi_k && rmid != midk) batch.push_back(rate_of(rmid));
-        ensure(batch);
-      }
-      if (stable_at(midk)) {
-        lo_k = midk;
-      } else {
-        hi_k = midk;
-      }
-    }
-    result.saturation_flit_rate = rate_of(lo_k);
-    // Same pathological-case fallback as the plain search: no stable point
-    // above 0 found, report the lowest unstable probe's accepted rate.
-    result.accepted_flit_rate =
-        lo_k > 0 ? memo.at(rate_key(rate_of(lo_k))).accepted_flit_rate
-                 : std::min(probe(rate_of(hi_k)).accepted_flit_rate,
-                            rate_of(hi_k));
+  } else if (stable_at(kSaturationGridSteps)) {
+    lo_k = kSaturationGridSteps;
+  }
+  if (lo_k == kSaturationGridSteps) {
+    // Full rate is stable: the design is injection-limited, not
+    // network-limited.
+    result.saturation_flit_rate = 1.0;
+    result.accepted_flit_rate = memo[lo_k].accepted_flit_rate;
     return result;
   }
 
-  // Full-rate probe first: if the network keeps up with offered = 1.0 it is
-  // injection-limited, not network-limited. With an executor, speculate the
-  // first two binary-search levels alongside it — they are the probes the
-  // search will want next unless the full-rate probe short-circuits.
-  if (executor != nullptr && opts.iterations >= 2) {
-    ensure({1.0, 0.5, 0.25, 0.75});
-  } else if (executor != nullptr && opts.iterations == 1) {
-    ensure({1.0, 0.5});
-  }
-  {
-    const auto& full = probe(1.0);
-    if (stable(full)) {
-      result.saturation_flit_rate = 1.0;
-      result.accepted_flit_rate = full.accepted_flit_rate;
-      return result;
+  // --- Bisect the bracket on the grid --------------------------------------
+  while (hi_k - lo_k > 1) {
+    const int mid = (lo_k + hi_k) / 2;
+    if (executor != nullptr && hi_k - lo_k > 2) {
+      // Speculate both possible next midpoints alongside (two levels of
+      // the search per parallel batch).
+      const int lmid = (lo_k + mid) / 2;
+      const int rmid = (mid + hi_k) / 2;
+      ensure({mid, lmid > lo_k ? lmid : mid, rmid > mid ? rmid : mid});
     }
-  }
-
-  double lo = 0.0;  // known stable
-  double hi = 1.0;  // known unstable
-  double accepted_at_lo = 0.0;
-  auto step = [&](const ThroughputResult& r, double mid) {
-    if (stable(r)) {
-      lo = mid;
-      accepted_at_lo = r.accepted_flit_rate;
+    if (stable_at(mid)) {
+      lo_k = mid;
     } else {
-      hi = mid;
-    }
-  };
-  for (int i = 0; i < opts.iterations; ++i) {
-    const double mid = (lo + hi) / 2.0;
-    if (executor != nullptr && i + 1 < opts.iterations) {
-      // Probe the midpoint and both possible next midpoints in one parallel
-      // batch, then consume two levels of the search from the memo.
-      ensure({mid, (lo + mid) / 2.0, (mid + hi) / 2.0});
-      step(memo.at(rate_key(mid)), mid);
-      ++i;
-      const double mid2 = (lo + hi) / 2.0;
-      step(memo.at(rate_key(mid2)), mid2);
-    } else {
-      step(probe(mid), mid);
+      hi_k = mid;
     }
   }
-  result.saturation_flit_rate = lo;
-  // If the search never found a stable point above 0 (pathological), report
-  // the accepted rate of the lowest unstable probe as a best effort.
+  result.saturation_flit_rate = rate_of(lo_k);
+  // Pathological case, no stable point above 0: report the lowest unstable
+  // probe's accepted rate as a best effort.
   result.accepted_flit_rate =
-      lo > 0.0 ? accepted_at_lo
-               : std::min(probe(hi).accepted_flit_rate, hi);
+      lo_k > 0 ? memo[lo_k].accepted_flit_rate
+               : std::min(probe(hi_k).accepted_flit_rate, rate_of(hi_k));
   return result;
 }
 

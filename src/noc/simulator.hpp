@@ -1,10 +1,11 @@
 // Simulation driver replicating BookSim2's measurement methodology
 // (Sec. VI-A): warm the network up, tag packets generated during a
 // measurement window, then drain; report average packet latency and
-// accepted throughput. Saturation throughput is located with a binary
-// search for the knee of the accepted-vs-offered curve (find_saturation);
-// the resulting fraction of the full injection rate is what the paper
-// multiplies by the full global bandwidth to obtain Tb/s.
+// accepted throughput. Saturation throughput is located by a search for
+// the knee of the accepted-vs-offered curve (find_saturation: bracket the
+// knee, then bisect on a 1/64 grid of offered rates); the resulting
+// fraction of the full injection rate is what the paper multiplies by the
+// full global bandwidth to obtain Tb/s.
 #pragma once
 
 #include <cstdint>
@@ -61,76 +62,51 @@ struct ThroughputResult {
 
 /// Options for the saturation-point search.
 struct SaturationSearchOptions {
-  /// A probe at offered rate r is "stable" when no packet was dropped at a
-  /// full source queue during the measurement window AND accepted >=
-  /// stability * generated (the latter guards against in-network congestion
-  /// with queues that have not filled yet; generated — the rate actually
-  /// admitted — rather than the nominal r, so short-window low-rate probes
-  /// do not flap on generation shot noise).
-  double stability = 0.9;
-  /// Binary-search iterations after the initial full-rate probe
-  /// (resolution = 2^-iterations in offered rate).
-  int iterations = 6;
+  /// Throughput-run windows of every probe.
   Cycle warmup = 4000;
   Cycle measure = 4000;
-  /// When true, each probe seeds its fresh simulator with
-  /// derive_seed(cfg.seed, bits(offered rate)) instead of cfg.seed, so
-  /// probes at different rates draw decorrelated traffic streams. Either
-  /// way a probe's outcome depends only on the offered rate — never on the
-  /// order probes run in — which is what keeps speculative parallel
-  /// searches bit-identical to sequential ones. Off by default to preserve
-  /// the historical single-seed numbers.
-  bool per_probe_seeds = false;
-  /// Analytic saturation estimate in [0, 1] (e.g. from evaluate_analytic's
-  /// bisection/channel-load bounds). When set, the search gallops outward
-  /// from the estimate on the same dyadic probe grid the plain bisection
-  /// refines over, so a good estimate needs ~3 probes instead of ~7 — and
-  /// because probe outcomes are monotone in the offered rate in practice,
-  /// the returned rate is identical to the plain search's. Negative (the
-  /// default) disables the surrogate and runs the plain bisection.
+  /// Analytic saturation estimate in [0, 1] (e.g. from
+  /// core::analytic_saturation_estimate). When set, the search brackets
+  /// the knee by galloping outward from the estimate's grid point, so a
+  /// good estimate needs ~2-4 probes instead of 7. Negative (the default):
+  /// the bracket is the full-rate probe, and the search is the plain
+  /// bisection. Because probe outcomes are monotone in the offered rate in
+  /// practice, either bracket returns the same grid point.
   double surrogate_rate = -1.0;
 };
 
 /// Result of the saturation-point search.
 struct SaturationResult {
-  /// Largest offered rate (flits/cycle/endpoint) the network sustains.
+  /// Largest grid rate k/64 (flits/cycle/endpoint) the network sustains: a
+  /// probe there dropped no packet at a full source queue and accepted at
+  /// least 0.9 x the rate its sources generated. 1.0 when full rate is
+  /// stable (the design is injection-limited).
   double saturation_flit_rate = 0.0;
   /// Accepted rate measured at that offered rate.
   double accepted_flit_rate = 0.0;
-  /// Number of simulation probes run. With a parallel executor the search
-  /// speculates ahead, so this may exceed the sequential minimum even
-  /// though the returned rates are identical.
+  /// Number of simulation probes run: 7 without a surrogate estimate unless
+  /// full rate is stable (then 1). With a parallel executor the search
+  /// speculates ahead, so this may exceed the sequential count even though
+  /// the returned rates are identical.
   int probes = 0;
 };
 
-/// Canonical bit pattern of an offered-rate memo key: collapses -0.0 onto
-/// +0.0 and every NaN onto one canonical quiet NaN, so the bit-pattern
-/// hashing in find_saturation's probe memo (and the per-probe seed
-/// derivation) can neither split a rate that compares equal nor alias
-/// distinct NaN payloads. Exposed for the regression tests in test_arena.
-[[nodiscard]] std::uint64_t saturation_rate_key(double rate) noexcept;
-
 /// Finds the saturation throughput the way BookSim-based studies do
-/// (Sec. VI-A): sweep the offered load for the knee of the accepted-vs-
-/// offered curve via binary search, running each probe on a fresh network.
-/// Overdriving a fully adaptive network far beyond saturation only measures
-/// the escape network's drain rate, not the design's usable throughput.
+/// (Sec. VI-A): search the offered load for the knee of the accepted-vs-
+/// offered curve, running each probe on a fresh network that reuses `topo`
+/// read-only (no routing-table build here however many probes run). One
+/// algorithm: establish a bracket (full-rate probe, or a gallop from
+/// `opts.surrogate_rate`), then bisect it on the dyadic grid k/64 of
+/// offered rates, k in [1, 64]. Overdriving a fully adaptive network far
+/// beyond saturation only measures the escape network's drain rate, not
+/// the design's usable throughput.
 ///
 /// Re-entrant: no shared mutable state, safe to call concurrently. When
 /// `executor` is non-null the search runs its independent probes in
 /// parallel, speculatively evaluating both possible next midpoints of the
-/// binary search (two levels per batch, ~2x fewer sequential probe waves);
-/// because each probe's result is a pure function of its offered rate, the
-/// returned result is bit-identical to the sequential search.
-[[nodiscard]] SaturationResult find_saturation(
-    const graph::Graph& g, const SimConfig& cfg,
-    const SaturationSearchOptions& opts = {},
-    const TrafficSpec& traffic = {}, ProbeExecutor* executor = nullptr);
-
-/// find_saturation on a pre-built shared topology: every probe's fresh
-/// Simulator reuses `topo` read-only, so the O(N^2 * deg) routing tables
-/// are built zero times here no matter how many probes the search runs.
-/// The graph overload above acquires the shared context once and delegates.
+/// bisection (two levels per batch); because each probe's result is a pure
+/// function of its offered rate, the returned result is bit-identical to
+/// the sequential search. Graph callers pass TopologyContext::acquire(g).
 [[nodiscard]] SaturationResult find_saturation(
     std::shared_ptr<const TopologyContext> topo, const SimConfig& cfg,
     const SaturationSearchOptions& opts = {},
@@ -170,7 +146,9 @@ class Simulator {
 
   /// Average packet latency at the given injection rate (flits/cycle/
   /// endpoint). Tags packets generated in [warmup, warmup+measure) and runs
-  /// until they all drain (or `drain_limit` extra cycles pass).
+  /// until they all drain (or `drain_limit` extra cycles pass). The run_*
+  /// methods throw std::invalid_argument when warmup < 0, measure <= 0 or
+  /// drain_limit < 0: such a window has nothing to measure.
   LatencyResult run_latency(double flit_rate, Cycle warmup = 3000,
                             Cycle measure = 12000,
                             Cycle drain_limit = 300000);

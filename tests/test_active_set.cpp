@@ -5,9 +5,10 @@
 //     accounting are bit-identical to the dense reference sweep across
 //     routing modes, seeds and traffic patterns — including the quiescence
 //     fast-forward (which must actually engage at low load).
-//  2. The surrogate-bracketed saturation search returns exactly the plain
-//     bisection's rate (it probes the same dyadic grid), within a bounded
-//     probe budget when the analytic estimate is wired in.
+//  2. The surrogate-bracketed saturation search returns exactly the
+//     unseeded search's rate (both bisect the same dyadic grid), within a
+//     bounded probe budget when the analytic estimate is wired in; the
+//     unseeded search takes exactly 7 probes.
 //
 // Plus: Network::reset() clears the active-set state (the arena recycles
 // networks through reset(); stale worklists would violate the skip-mode
@@ -176,25 +177,25 @@ hm::noc::SaturationSearchOptions fast_search() {
   return opts;
 }
 
-TEST(SurrogateSearch, SameRateAsPlainBisectionForAnyEstimate) {
+TEST(SurrogateSearch, SameRateAsUnseededSearchForAnyEstimate) {
   const auto arr = make_arrangement(ArrangementType::kHexaMesh, 19);
   const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
   const SimConfig cfg;
   const auto opts = fast_search();
 
-  const auto plain = hm::noc::find_saturation(topo, cfg, opts);
-  ASSERT_GT(plain.saturation_flit_rate, 0.0);
+  const auto unseeded = hm::noc::find_saturation(topo, cfg, opts);
+  ASSERT_GT(unseeded.saturation_flit_rate, 0.0);
 
   // Any estimate — spot-on, too low, too high, or at either boundary —
   // must land on the same grid point with the same accepted rate.
   for (const double estimate :
-       {plain.saturation_flit_rate, 0.0, 0.05, 0.3, 0.9, 1.0}) {
+       {unseeded.saturation_flit_rate, 0.0, 0.05, 0.3, 0.9, 1.0}) {
     auto sopts = opts;
     sopts.surrogate_rate = estimate;
     const auto pruned = hm::noc::find_saturation(topo, cfg, sopts);
-    EXPECT_EQ(pruned.saturation_flit_rate, plain.saturation_flit_rate)
+    EXPECT_EQ(pruned.saturation_flit_rate, unseeded.saturation_flit_rate)
         << "estimate=" << estimate;
-    EXPECT_EQ(pruned.accepted_flit_rate, plain.accepted_flit_rate)
+    EXPECT_EQ(pruned.accepted_flit_rate, unseeded.accepted_flit_rate)
         << "estimate=" << estimate;
   }
 }
@@ -204,26 +205,29 @@ TEST(SurrogateSearch, ProbeBudgetBounded) {
   const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
   const SimConfig cfg;
   const auto opts = fast_search();
-  const auto plain = hm::noc::find_saturation(topo, cfg, opts);
+  // Without an estimate: the unstable full-rate probe, then six bisection
+  // steps down to the 1/64 grid.
+  const auto unseeded = hm::noc::find_saturation(topo, cfg, opts);
+  EXPECT_EQ(unseeded.probes, 7);
 
   // A spot-on estimate needs just the bracket check: stable at k0,
   // unstable one grid step up.
   auto exact = opts;
-  exact.surrogate_rate = plain.saturation_flit_rate;
+  exact.surrogate_rate = unseeded.saturation_flit_rate;
   const auto best_case = hm::noc::find_saturation(topo, cfg, exact);
   EXPECT_LE(best_case.probes, 4);
 
   // The analytic estimate evaluate() wires in (core/evaluator.cpp) must
-  // keep the budget at <= 6 probes — the acceptance bound — versus
-  // iterations + 1 == 7 minimum for the plain bisection.
+  // keep the budget at <= 6 probes — the acceptance bound — versus the
+  // unseeded search's 7.
   const hm::core::EvaluationParams eval_params;
   auto seeded = opts;
   seeded.surrogate_rate = hm::core::analytic_saturation_estimate(
       hm::core::evaluate_analytic(arr, eval_params), eval_params);
   const auto pruned = hm::noc::find_saturation(topo, cfg, seeded);
-  EXPECT_EQ(pruned.saturation_flit_rate, plain.saturation_flit_rate);
+  EXPECT_EQ(pruned.saturation_flit_rate, unseeded.saturation_flit_rate);
   EXPECT_LE(pruned.probes, 6);
-  EXPECT_LT(pruned.probes, plain.probes);
+  EXPECT_LT(pruned.probes, unseeded.probes);
 }
 
 }  // namespace

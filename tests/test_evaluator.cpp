@@ -3,10 +3,15 @@
 // path on small designs.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
 #include "core/evaluator.hpp"
 #include "core/grid.hpp"
 #include "core/hexamesh.hpp"
 #include "core/proxies.hpp"
+#include "faults/fault_plan.hpp"
+#include "noc/simulator.hpp"
 
 namespace {
 
@@ -106,6 +111,51 @@ TEST(Evaluator, LinkAreaForHonorsSmallNFlag) {
   const auto big = make_hexamesh(19);
   // N > 7: flag must not change anything.
   EXPECT_DOUBLE_EQ(link_area_for(big, 10.0, p), 0.6 * 10.0 / 6.0);
+}
+
+TEST(Evaluator, RejectsWindowsWithNothingToMeasure) {
+  // An empty or negative measurement window has no rate to report (the
+  // throughput run would divide by its length).
+  const auto arr = make_grid(4);
+  const std::function<void(EvaluationParams&)> bad_windows[] = {
+      [](EvaluationParams& p) { p.throughput_measure = 0; },
+      [](EvaluationParams& p) { p.throughput_measure = -100; },
+      [](EvaluationParams& p) { p.throughput_warmup = -1; },
+      [](EvaluationParams& p) { p.latency_measure = 0; },
+      [](EvaluationParams& p) { p.latency_warmup = -1; },
+      [](EvaluationParams& p) { p.latency_drain_limit = -1; },
+  };
+  for (const auto& mutate : bad_windows) {
+    EvaluationParams p = fast_sim_params();
+    mutate(p);
+    EXPECT_THROW((void)evaluate(arr, p), std::invalid_argument);
+  }
+
+  // A skipped measurement's window is never run, so it is not checked.
+  EvaluationParams latency_only = fast_sim_params();
+  latency_only.measure_saturation = false;
+  latency_only.throughput_measure = 0;
+  EXPECT_EQ(evaluate(arr, latency_only).saturation_fraction, 0.0);
+}
+
+TEST(Evaluator, SimulatorRunsRejectBadWindows) {
+  const auto arr = make_grid(4);
+  hm::noc::Simulator sim(arr.graph(), hm::noc::SimConfig{});
+  EXPECT_THROW((void)sim.run_latency(0.01, -1, 100, 100),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim.run_latency(0.01, 100, 0, 100),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim.run_latency(0.01, 100, 100, -1),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim.run_throughput(0.1, -1, 100), std::invalid_argument);
+  EXPECT_THROW((void)sim.run_throughput(0.1, 100, 0), std::invalid_argument);
+  EXPECT_THROW((void)sim.run_resilience(0.1, hm::faults::FaultPlan{}, -1, 100),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim.run_resilience(0.1, hm::faults::FaultPlan{}, 100, 0),
+               std::invalid_argument);
+  // A zero warmup and a zero drain limit are valid windows.
+  EXPECT_GT(sim.run_throughput(0.1, 0, 200).generated_flit_rate, 0.0);
+  EXPECT_NO_THROW((void)sim.run_latency(0.01, 0, 200, 0));
 }
 
 }  // namespace

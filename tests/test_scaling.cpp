@@ -106,8 +106,9 @@ TEST(SaturationSearch, TwoChipletKneeIsSane) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 2000;
   opts.measure = 2000;
-  const auto r = hm::noc::find_saturation(arr.graph(), hm::noc::SimConfig{},
-                                          opts);
+  const auto r = hm::noc::find_saturation(
+      hm::noc::TopologyContext::acquire(arr.graph()), hm::noc::SimConfig{},
+      opts);
   // One link between two chiplets; half the uniform traffic crosses it in
   // each direction: lambda * 2 * 2/3 <= 1 per direction -> knee ~0.7-0.8.
   EXPECT_GT(r.saturation_flit_rate, 0.4);
@@ -122,7 +123,8 @@ TEST(SaturationSearch, KneeBelowOverdrivenAcceptance) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 3000;
   opts.measure = 3000;
-  const auto knee = hm::noc::find_saturation(arr.graph(), cfg, opts);
+  const auto knee = hm::noc::find_saturation(
+      hm::noc::TopologyContext::acquire(arr.graph()), cfg, opts);
   EXPECT_LE(knee.accepted_flit_rate, 1.0);
   EXPECT_GT(knee.accepted_flit_rate, 0.0);
 }
@@ -140,7 +142,8 @@ TEST(SaturationSearch, InjectionLimitedNetworkSaturatesNearFullRate) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 1000;
   opts.measure = 2000;
-  const auto r = hm::noc::find_saturation(g, cfg, opts, spec);
+  const auto r = hm::noc::find_saturation(
+      hm::noc::TopologyContext::acquire(g), cfg, opts, spec);
   EXPECT_GT(r.saturation_flit_rate, 0.8);
   EXPECT_LE(r.saturation_flit_rate, 1.0);
 }

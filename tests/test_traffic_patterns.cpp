@@ -162,8 +162,9 @@ TEST(SimulatorTraffic, HotspotLowersSaturation) {
   hotspot.pattern = TrafficPattern::kHotspot;
   hotspot.hotspot_fraction = 0.4;
   hotspot.hotspots = {0, 1};
-  const auto uni = hm::noc::find_saturation(arr.graph(), cfg, opts);
-  const auto hot = hm::noc::find_saturation(arr.graph(), cfg, opts, hotspot);
+  const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
+  const auto uni = hm::noc::find_saturation(topo, cfg, opts);
+  const auto hot = hm::noc::find_saturation(topo, cfg, opts, hotspot);
   EXPECT_LT(hot.accepted_flit_rate, uni.accepted_flit_rate);
 }
 
@@ -225,7 +226,8 @@ TEST(TrafficSpecValidate, FindSaturationRejectsBadSpec) {
   bad.pattern = TrafficPattern::kHotspot;
   bad.hotspot_fraction = 2.0;
   EXPECT_THROW(
-      (void)hm::noc::find_saturation(arr.graph(), cfg, opts, bad),
+      (void)hm::noc::find_saturation(
+          hm::noc::TopologyContext::acquire(arr.graph()), cfg, opts, bad),
       std::invalid_argument);
 }
 

@@ -4,16 +4,17 @@
 Compares a freshly measured perf JSON against the committed baseline and
 fails (exit 1) when:
 
-  * a guarded metric (sim_cycle.*, sim_cycle_lowload.*, sat.probes.*, or
+  * a guarded metric (sim_cycle.*, sim_cycle_lowload.*, or
     sweep21.wall_s.t1) regressed by more than --max-regression (default
     1.25, i.e. >25% slower/worse) — direction-aware: for the
     sim_cycle_lowload.speedup.* ratios a *drop* below
-    baseline / max-regression is the failure, while for durations and
-    probe counts a rise above baseline * max-regression is, or
+    baseline / max-regression is the failure, while for durations a rise
+    above baseline * max-regression is, or
   * the 8-thread sweep speedup dropped below --min-speedup-t8 (default 2.0),
     or
   * an exact work count (work.*, e.g. router-steps / flits routed / heads
-    revoked / VA stalls of bench_perf_micro's fixed saturated n91 run)
+    revoked / VA stalls of bench_perf_micro's fixed saturated n91 run, or
+    sat.probes.*, the probes of its fixed-window saturation searches)
     differs from the baseline in either direction, or is missing from the
     fresh JSON. These counts are deterministic, so they give the same
     answer on every host: a rise is an algorithmic regression, any other
@@ -47,10 +48,11 @@ import json
 import os
 import sys
 
-GUARDED_PREFIXES = ("sim_cycle.", "sim_cycle_lowload.", "sat.probes.")
+GUARDED_PREFIXES = ("sim_cycle.", "sim_cycle_lowload.")
 GUARDED_KEYS = ("sweep21.wall_s.t1",)
-# Deterministic work counts: compared for exact equality, on any host.
-EXACT_PREFIXES = ("work.",)
+# Deterministic work counts (the same in --smoke and full runs): compared
+# for exact equality, on any host.
+EXACT_PREFIXES = ("work.", "sat.probes.")
 # Guarded metrics where *higher* is better (speedup ratios): a drop below
 # baseline / max-regression is the failure, not a rise above it.
 GUARDED_HIGHER_IS_BETTER = ("sim_cycle_lowload.speedup.",)
