@@ -24,15 +24,27 @@ int main() {
   hm::noc::SaturationSearchOptions search;
   search.warmup = 3000;
   search.measure = 3000;
+  // "*": no grid rate was stable, so the entry is the 1/64 probe's
+  // best-effort accepted rate rather than a knee.
+  const auto mark = [](const hm::noc::SaturationResult& s) {
+    return s.no_stable_point ? "*" : "";
+  };
+  bool any_marked = false;
   for (int vcs : {1, 2, 3, 4, 6, 8, 12, 16}) {
     hm::noc::SimConfig cfg;
     cfg.vcs = vcs;
-    const double tg =
-        hm::noc::find_saturation(grid, cfg, search).accepted_flit_rate;
-    const double th =
-        hm::noc::find_saturation(hexa, cfg, search).accepted_flit_rate;
-    std::printf("%4d | %10.4f %17s | %10.4f\n", vcs, tg, "", th);
+    const auto tg = hm::noc::find_saturation(grid, cfg, search);
+    const auto th = hm::noc::find_saturation(hexa, cfg, search);
+    any_marked = any_marked || tg.no_stable_point || th.no_stable_point;
+    std::printf("%4d | %10.4f %-17s | %10.4f%s\n", vcs, tg.accepted_flit_rate,
+                mark(tg), th.accepted_flit_rate, mark(th));
     std::fflush(stdout);
+  }
+  if (any_marked) {
+    std::printf(
+        "\n* no stable grid point (not a knee): even 1/64 "
+        "flits/cycle/endpoint\n"
+        "  was unstable; the entry is that probe's accepted rate.\n");
   }
 
   std::printf(

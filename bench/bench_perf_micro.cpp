@@ -3,8 +3,9 @@
 // and topology-context construction, and the raw simulator cycle rate.
 // Hand-rolled timing (median of repetitions) so the suite builds without
 // external benchmark libraries, plus machine-readable output: every metric
-// is merged into BENCH_perf.json at the repo root so the perf trajectory of
-// the hot paths is tracked across PRs.
+// is merged into the perf JSON (bench/perf_json.hpp: $HM_PERF_JSON, else
+// ./BENCH_perf.json) so the perf trajectory of the hot paths is tracked
+// across commits.
 //
 // Usage: bench_perf_micro [--smoke]   (--smoke: few repetitions, CI gate)
 #include <unistd.h>
@@ -251,11 +252,12 @@ void bench_saturation_probes() {
 }
 
 void bench_evaluation_probes() {
-  // Exact saturation probes of one full core::evaluate() at the
-  // EvaluationParams defaults (the evaluator's windows, unlike the 400-cycle
-  // windows above), counted through the sat.probes telemetry counter. Same
-  // in --smoke and full mode; check_perf_regression.py fails on any change
-  // to a work.* key.
+  // Exact work of one full core::evaluate() at the EvaluationParams
+  // defaults (the evaluator's windows, unlike the 400-cycle windows above):
+  // its saturation probes and its router steps (every simulator run of the
+  // evaluation), counted through the sat.probes / sim.router_steps
+  // telemetry counters. Same in --smoke and full mode;
+  // check_perf_regression.py fails on any change to a work.* key.
   const bool was_enabled = hm::telemetry::enabled();
   hm::telemetry::set_enabled(true);
   for (const auto& [type, name] :
@@ -263,16 +265,19 @@ void bench_evaluation_probes() {
         std::pair{ArrangementType::kHexaMesh, "hexamesh"}}) {
     hm::core::EvaluationParams params;
     params.sim.seed = 1;
-    const auto probes_before =
-        hm::telemetry::snapshot().counters["sat.probes"];
+    auto before = hm::telemetry::snapshot().counters;
     (void)hm::core::evaluate(make_arrangement(type, 37), params);
-    const auto probes =
-        hm::telemetry::snapshot().counters["sat.probes"] - probes_before;
-    const std::string key =
-        std::string("work.eval.sat_probes.") + name + ".n37";
-    std::printf("%-36s %12llu probes\n", key.c_str(),
-                static_cast<unsigned long long>(probes));
-    g_metrics[key] = static_cast<double>(probes);
+    auto after = hm::telemetry::snapshot().counters;
+    for (const auto& [counter, label] :
+         {std::pair{"sat.probes", "sat_probes"},
+          std::pair{"sim.router_steps", "router_steps"}}) {
+      const auto count = after[counter] - before[counter];
+      const std::string key =
+          std::string("work.eval.") + label + "." + name + ".n37";
+      std::printf("%-36s %12llu\n", key.c_str(),
+                  static_cast<unsigned long long>(count));
+      g_metrics[key] = static_cast<double>(count);
+    }
   }
   hm::telemetry::set_enabled(was_enabled);
 }

@@ -1,12 +1,13 @@
 // BENCH_perf.json support: a flat JSON object mapping metric names to
-// numbers, written at the repo root so the perf trajectory of the hot paths
-// (ns/cycle, table-build time, sweep wall-clock per thread count) is
-// tracked across PRs. Benches merge their keys into the existing file
-// rather than clobbering each other's sections, so running any subset of
-// the perf drivers keeps the rest of the file intact.
+// numbers, so the perf trajectory of the hot paths (ns/cycle, table-build
+// time, sweep wall-clock per thread count) is tracked across commits.
+// Benches merge their keys into the existing file rather than clobbering
+// each other's sections, so running any subset of the perf drivers keeps
+// the rest of the file intact.
 //
-// Path resolution: $HM_PERF_JSON when set, else <repo root>/BENCH_perf.json
-// (the root is baked in as HM_REPO_ROOT by CMake), else ./BENCH_perf.json.
+// Path resolution: $HM_PERF_JSON when set, else ./BENCH_perf.json in the
+// working directory. The committed baseline at the repo root is rewritten
+// only when HM_PERF_JSON names it, never by a plain local run.
 #pragma once
 
 #include <cctype>
@@ -22,11 +23,7 @@ namespace hm::bench {
 
 inline std::string perf_json_path() {
   if (const char* env = std::getenv("HM_PERF_JSON")) return env;
-#ifdef HM_REPO_ROOT
-  return std::string(HM_REPO_ROOT) + "/BENCH_perf.json";
-#else
   return "BENCH_perf.json";
-#endif
 }
 
 /// Parses the flat {"key": number, ...} object this module writes. Ignores

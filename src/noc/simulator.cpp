@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -130,7 +131,9 @@ void Simulator::tick(SyntheticTraffic& traffic) {
   ++now_;
 }
 
-void Simulator::advance_until(Cycle limit, SyntheticTraffic& traffic) {
+void Simulator::advance_until(Cycle limit, SyntheticTraffic& traffic,
+                              bool stop_at_first_drop) {
+  const std::uint64_t dropped_before = packets_dropped_;
   while (now_ < limit) {
     if (cfg_.skip_idle && net_.quiescent()) {
       // Nothing buffered, queued or in flight: every cycle until the next
@@ -151,6 +154,7 @@ void Simulator::advance_until(Cycle limit, SyntheticTraffic& traffic) {
       }
     }
     tick(traffic);
+    if (stop_at_first_drop && packets_dropped_ != dropped_before) break;
   }
 }
 
@@ -204,7 +208,8 @@ LatencyResult Simulator::run_latency(double flit_rate, Cycle warmup,
 }
 
 ThroughputResult Simulator::run_throughput(double flit_rate, Cycle warmup,
-                                           Cycle measure) {
+                                           Cycle measure,
+                                           bool stop_at_first_drop) {
   check_window("run_throughput", warmup, measure);
   SyntheticTraffic traffic(traffic_spec_, net_.num_endpoints(), flit_rate,
                            cfg_.packet_length);
@@ -216,13 +221,16 @@ ThroughputResult Simulator::run_throughput(double flit_rate, Cycle warmup,
   const std::uint64_t ejected_before = net_.total_flits_ejected();
   const std::uint64_t admitted_before = packets_admitted_;
   const std::uint64_t dropped_before = packets_dropped_;
-  advance_until(measure_end, traffic);
+  advance_until(measure_end, traffic, stop_at_first_drop);
   const std::uint64_t ejected_after = net_.total_flits_ejected();
 
   ThroughputResult result;
   result.offered_flit_rate = flit_rate;
+  // The cycles actually measured: `measure` unless the window stopped at
+  // its first drop.
+  const Cycle measured = now_ - measure_begin;
   const double window_endpoints =
-      static_cast<double>(measure) * static_cast<double>(net_.num_endpoints());
+      static_cast<double>(measured) * static_cast<double>(net_.num_endpoints());
   result.accepted_flit_rate =
       static_cast<double>(ejected_after - ejected_before) / window_endpoints;
   result.generated_flit_rate =
@@ -286,8 +294,10 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
     // to a fresh network on the shared topology, minus the allocator churn).
     Simulator sim(SimulationArena::local(), topo, cfg);
     sim.set_traffic(traffic);
+    // Only k = 1 keeps its full window: an unstable probe's rates are read
+    // solely by the no-stable-point fallback below, which reads k = 1.
     const ThroughputResult out =
-        sim.run_throughput(rate_of(k), opts.warmup, opts.measure);
+        sim.run_throughput(rate_of(k), opts.warmup, opts.measure, k > 1);
     probe_us.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
@@ -405,7 +415,11 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   }
   result.saturation_flit_rate = rate_of(lo_k);
   // Pathological case, no stable point above 0: report the lowest unstable
-  // probe's accepted rate as a best effort.
+  // probe's accepted rate as a best effort. Both the downward gallop and
+  // the bisection end at hi_k = 1 here, the one probe run with a full
+  // window.
+  assert(lo_k > 0 || hi_k == 1);
+  result.no_stable_point = lo_k == 0;
   result.accepted_flit_rate =
       lo_k > 0 ? memo[lo_k].accepted_flit_rate
                : std::min(probe(hi_k).accepted_flit_rate, rate_of(hi_k));

@@ -48,7 +48,11 @@ struct LatencyResult {
   bool drained = false;  ///< all tagged packets delivered before the limit
 };
 
-/// Result of a throughput measurement run.
+/// Result of a throughput measurement run. A run with stop_at_first_drop
+/// ends its measurement window on the cycle of the window's first dropped
+/// packet; its rates are then averaged over the cycles it actually
+/// measured, and dropped_packets is >= 1. A run that drops nothing is
+/// field-for-field the same with or without the flag.
 struct ThroughputResult {
   double offered_flit_rate = 0.0;    ///< nominal flits/cycle/endpoint
   double accepted_flit_rate = 0.0;   ///< flits/cycle/endpoint ejected
@@ -84,6 +88,10 @@ struct SaturationResult {
   double saturation_flit_rate = 0.0;
   /// Accepted rate measured at that offered rate.
   double accepted_flit_rate = 0.0;
+  /// No grid rate was stable, not even 1/64: saturation_flit_rate is 0 and
+  /// accepted_flit_rate is the best-effort accepted rate of the unstable
+  /// 1/64 probe, not a knee.
+  bool no_stable_point = false;
   /// Number of simulation probes run: 7 without a surrogate estimate unless
   /// full rate is stable (then 1). With a parallel executor the search
   /// speculates ahead, so this may exceed the sequential count even though
@@ -100,6 +108,15 @@ struct SaturationResult {
 /// offered rates, k in [1, 64]. Overdriving a fully adaptive network far
 /// beyond saturation only measures the escape network's drain rate, not
 /// the design's usable throughput.
+///
+/// Every probe but the 1/64 one stops its measurement window at the first
+/// dropped packet (Simulator::run_throughput's stop_at_first_drop). That
+/// is exact, not a heuristic: one drop already makes the probe unstable, so
+/// no outcome changes, and an unstable probe's rates are read only when no
+/// grid point is stable, where the bracket has shrunk to hi = 1/64 and that
+/// probe kept its full window. saturation_flit_rate, accepted_flit_rate and
+/// probes are therefore the same as with full windows; only the simulated
+/// cycles of unstable probes shrink.
 ///
 /// Re-entrant: no shared mutable state, safe to call concurrently. When
 /// `executor` is non-null the search runs its independent probes in
@@ -155,8 +172,12 @@ class Simulator {
 
   /// Accepted throughput at the given offered rate over a measurement
   /// window following warmup. Offer 1.0 to measure saturation throughput.
+  /// With `stop_at_first_drop` the measurement window (never the warmup)
+  /// ends on the cycle its first packet is dropped at a full source queue;
+  /// see ThroughputResult for what the rates then cover.
   ThroughputResult run_throughput(double flit_rate, Cycle warmup = 10000,
-                                  Cycle measure = 10000);
+                                  Cycle measure = 10000,
+                                  bool stop_at_first_drop = false);
 
   /// Resilience run: warm the healthy network up at `flit_rate` for
   /// `warmup` cycles, arm `plan` (event times count from the arm point),
@@ -186,7 +207,10 @@ class Simulator {
   /// (nothing in the network, no traffic event due) are fast-forwarded to
   /// the traffic source's next event cycle — the skipped cycles are
   /// observable no-ops, so results are bit-identical to dense stepping.
-  void advance_until(Cycle limit, SyntheticTraffic& traffic);
+  /// With `stop_at_first_drop`, returns early after the first tick that
+  /// drops a packet at a source queue.
+  void advance_until(Cycle limit, SyntheticTraffic& traffic,
+                     bool stop_at_first_drop = false);
 
   /// Binds `traffic`'s per-endpoint event streams for a run starting now.
   /// The base seed is salted with the start cycle so back-to-back runs on

@@ -27,6 +27,11 @@ but WARN-ONLY: their baseline was measured on one host class and needs a
 few CI runs to settle before gating hard. Promote the prefix from
 WARN_PREFIXES to GUARDED_PREFIXES once the numbers are stable.
 
+With --exact-only the gate compares the exact work counts (EXACT_PREFIXES)
+and nothing else: no wall-clock key and no speedup check. Those counts are
+the same in --smoke and full runs and on every host, so this mode gates a
+quick `bench_perf_micro --smoke` run and passes on unchanged code anywhere.
+
 The speedup check only applies when the measuring host can scale at all:
 it is skipped (with a note) when the fresh JSON's host.hardware_threads —
 or, absent that key, this machine's cpu count — is below
@@ -40,7 +45,8 @@ runners; if the runner fleet changes for good, re-baseline the committed
 BENCH_perf.json (or tune --max-regression) instead of accepting a
 permanently red or permanently vacuous gate.
 
-Usage: check_perf_regression.py BASELINE_JSON FRESH_JSON [options]
+Usage: check_perf_regression.py BASELINE_JSON FRESH_JSON [--exact-only]
+                                [options]
 """
 
 import argparse
@@ -82,6 +88,24 @@ def load(path):
             if isinstance(v, (int, float))}
 
 
+def check_speedup(args, fresh, failures):
+    cores = int(fresh.get("host.hardware_threads") or os.cpu_count() or 1)
+    speedup = fresh.get("sweep21.speedup.t8")
+    if cores < args.min_cores_for_scaling:
+        print(f"  sweep21.speedup.t8 check skipped: host has {cores} "
+              f"core(s), need >= {args.min_cores_for_scaling} to scale")
+    elif speedup is None:
+        print("  sweep21.speedup.t8 missing from fresh JSON; skipped")
+    else:
+        ok = speedup >= args.min_speedup_t8
+        print(f"  sweep21.speedup.t8 = {speedup:.2f} "
+              f"(min {args.min_speedup_t8:.2f}) {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(
+                f"sweep21.speedup.t8 = {speedup:.2f} < "
+                f"{args.min_speedup_t8:.2f} on a {cores}-core host")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline", help="committed BENCH_perf.json")
@@ -92,6 +116,9 @@ def main():
                     help="minimum sweep21.speedup.t8 (default 2.0)")
     ap.add_argument("--min-cores-for-scaling", type=int, default=4,
                     help="skip the speedup check below this core count")
+    ap.add_argument("--exact-only", action="store_true",
+                    help="compare only the exact work counts "
+                         "(EXACT_PREFIXES); skip every timing check")
     args = ap.parse_args()
 
     baseline = load(args.baseline)
@@ -114,6 +141,8 @@ def main():
                       f"EXACT MISMATCH")
             else:
                 print(f"  {key}: {fresh[key]:.0f} (exact) ok")
+            continue
+        if args.exact_only:
             continue
         guarded = key in GUARDED_KEYS or key.startswith(GUARDED_PREFIXES)
         warn_only = key.startswith(WARN_PREFIXES)
@@ -143,21 +172,8 @@ def main():
         print(f"  {key}: {baseline[key]:.6g} -> {fresh[key]:.6g} "
               f"({ratio:.2f}x) {status}")
 
-    cores = int(fresh.get("host.hardware_threads") or os.cpu_count() or 1)
-    speedup = fresh.get("sweep21.speedup.t8")
-    if cores < args.min_cores_for_scaling:
-        print(f"  sweep21.speedup.t8 check skipped: host has {cores} "
-              f"core(s), need >= {args.min_cores_for_scaling} to scale")
-    elif speedup is None:
-        print("  sweep21.speedup.t8 missing from fresh JSON; skipped")
-    else:
-        ok = speedup >= args.min_speedup_t8
-        print(f"  sweep21.speedup.t8 = {speedup:.2f} "
-              f"(min {args.min_speedup_t8:.2f}) {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(
-                f"sweep21.speedup.t8 = {speedup:.2f} < "
-                f"{args.min_speedup_t8:.2f} on a {cores}-core host")
+    if not args.exact_only:
+        check_speedup(args, fresh, failures)
 
     if failures:
         print("\nperf gate FAILED:")
