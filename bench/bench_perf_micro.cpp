@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <utility>
@@ -108,6 +109,15 @@ void bench_tables() {
   }
 }
 
+/// Prints exact work counts and records them as metrics.
+void record_counts(
+    std::initializer_list<std::pair<const char*, std::uint64_t>> counts) {
+  for (const auto& [key, value] : counts) {
+    std::printf("%-36s %12llu\n", key, static_cast<unsigned long long>(value));
+    g_metrics[key] = static_cast<double>(value);
+  }
+}
+
 /// Steps `net` through `cycles` cycles from `now`, every endpoint rolling
 /// for a packet each cycle.
 void run_cycles(hm::noc::Network& net, hm::noc::UniformRandomTraffic& traffic,
@@ -163,16 +173,28 @@ void bench_simulator_work() {
   hm::noc::Cycle now = 0;
   run_cycles(net, traffic, rng, now, 2000);
   const hm::noc::Network::HotStats hs = net.hot_stats();
-  const std::pair<const char*, std::uint64_t> counts[] = {
+  record_counts({
       {"work.sim_cycle.n91.router_steps", hs.router_steps},
       {"work.sim_cycle.n91.flits_routed", hs.routers.flits_routed},
       {"work.sim_cycle.n91.heads_revoked", hs.routers.heads_revoked},
       {"work.sim_cycle.n91.va_stall_cycles", hs.routers.va_stall_cycles},
-  };
-  for (const auto& [key, value] : counts) {
-    std::printf("%-36s %12llu\n", key, static_cast<unsigned long long>(value));
-    g_metrics[key] = static_cast<double>(value);
-  }
+  });
+}
+
+void bench_simulator_lowload_work() {
+  // Exact work of one low-load latency probe on HexaMesh N=91, the
+  // skip-idle regime bench_simulator_lowload times: fixed windows, the
+  // same in --smoke and full mode, so the work.* gate pins the low-load
+  // stepper bit for bit on any host.
+  const auto arr = make_arrangement(ArrangementType::kHexaMesh, 91);
+  const hm::noc::SimConfig cfg;
+  hm::noc::Simulator sim(hm::noc::TopologyContext::acquire(arr.graph()), cfg);
+  (void)sim.run_latency(0.002, 1000, 3000, 60000);
+  const hm::noc::Network::HotStats hs = sim.network().hot_stats();
+  record_counts({
+      {"work.lowload.n91.router_steps", hs.router_steps},
+      {"work.lowload.n91.flits_routed", hs.routers.flits_routed},
+  });
 }
 
 void bench_simulator_lowload() {
@@ -427,6 +449,7 @@ int main(int argc, char** argv) {
   bench_simulator_cycles();
   bench_simulator_work();
   bench_simulator_lowload();
+  bench_simulator_lowload_work();
   bench_saturation_probes();
   bench_evaluation_probes();
   bench_evaluate_analytic();

@@ -35,6 +35,8 @@ class TimedRing {
     return v;
   }
   [[nodiscard]] std::size_t in_flight() const { return q_.size(); }
+  /// Arrival cycle of the oldest in-flight payload (in_flight() > 0).
+  [[nodiscard]] Cycle next_arrival() const { return q_.front().at; }
 
   /// Visits every in-flight payload in FIFO order (fault excision).
   template <typename Fn>

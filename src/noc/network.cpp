@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -90,12 +91,15 @@ Network::Network(std::shared_ptr<const TopologyContext> topo,
   }
 
   // Worklist storage: membership flags plus capacity for the worst case
-  // (every component active) so arming never allocates mid-run.
-  link_active_.assign(links_.size(), 0);
+  // (every component active) so arming never allocates mid-run; the link
+  // wheel is sized once here.
+  wheel_mask_ =
+      std::bit_ceil(static_cast<std::size_t>(cfg_.link_latency) + 1) - 1;
+  wheel_head_.assign(wheel_mask_ + 1, kNoLink);
+  wheel_next_.assign(links_.size(), kNoLink);
   chan_active_.assign(ep_channels_.size(), 0);
   router_active_.assign(routers_.size(), 0);
   ep_active_.assign(endpoints_.size(), 0);
-  active_links_.reserve(links_.size());
   active_chans_.reserve(ep_channels_.size());
   active_routers_.reserve(routers_.size());
   active_eps_.reserve(endpoints_.size());
@@ -176,10 +180,18 @@ void Network::step_active(Cycle now) {
   // worklist order standing in for index order cannot change the outcome.
   const std::size_t eps = static_cast<std::size_t>(cfg_.endpoints_per_chiplet);
 
-  // 1a. Deliver link arrivals; drop drained links from the worklist.
-  for (std::size_t i = 0; i < active_links_.size();) {
-    const std::uint32_t li = active_links_[i];
+  // 1a. Deliver link arrivals: only the links on this cycle's wheel slot
+  // have anything arriving. Each is re-slotted at its next front arrival
+  // or, drained, dropped. The slot is detached first, so a re-slot can
+  // never extend the list being walked.
+  const std::size_t slot = static_cast<std::size_t>(now) & wheel_mask_;
+  std::uint32_t li = wheel_head_[slot];
+  wheel_head_[slot] = kNoLink;
+  while (li != kNoLink) {
+    const std::uint32_t next = wheel_next_[li];
     RouterLink& link = links_[li];
+    assert(link_front(link) == now);  // consecutive steps: nothing overdue
+    --wheel_links_;
     while (link.flits.ready(now)) {
       routers_[link.to].receive_flit(link.in_port_at_to, link.flits.pop(),
                                      now);
@@ -192,13 +204,10 @@ void Network::step_active(Cycle now) {
       routers_[link.from].receive_credit(link.out_port_at_from,
                                          link.credits.pop());
     }
-    if (link.flits.in_flight() == 0 && link.credits.in_flight() == 0) {
-      link_active_[li] = 0;
-      active_links_[i] = active_links_.back();
-      active_links_.pop_back();
-    } else {
-      ++i;
+    if (link.flits.in_flight() != 0 || link.credits.in_flight() != 0) {
+      slot_link(li);
     }
+    li = next;
   }
 
   // 1b. Deliver endpoint-channel arrivals.
@@ -250,7 +259,12 @@ void Network::step_active(Cycle now) {
   }
 
   // 3. Routers with buffered flits advance; arm whatever they pushed into,
-  // drop the ones that drained.
+  // drop the ones that drained. A link goes on the wheel only on its
+  // empty->busy edge: one step pushes at most one entry into a link (one
+  // grant per output port feeds its flit side, and the credit side is fed
+  // by the router at the other end), so a link holding exactly one entry
+  // after the step was empty before it. A busy link keeps its slot — the
+  // new entry arrives after its front.
   router_steps_ += active_routers_.size();
   if (active_routers_.size() > active_router_hwm_) {
     active_router_hwm_ = active_routers_.size();
@@ -268,8 +282,9 @@ void Network::step_active(Cycle now) {
                                     in_credit_target_[r][g.in_port]}) {
         if ((t & kChanBit) != 0) {
           arm(active_chans_, chan_active_, t & ~kChanBit);
-        } else {
-          arm(active_links_, link_active_, t);
+        } else if (const RouterLink& link = links_[t];
+                   link.flits.in_flight() + link.credits.in_flight() == 1) {
+          slot_link(t);
         }
       }
     }
@@ -287,7 +302,7 @@ bool Network::quiescent() const {
   if (cfg_.skip_idle) {
     // The worklists are exact between steps: empty lists == nothing
     // buffered, queued or in flight anywhere.
-    return active_links_.empty() && active_chans_.empty() &&
+    return wheel_links_ == 0 && active_chans_.empty() &&
            active_routers_.empty() && active_eps_.empty();
   }
   for (const auto& r : routers_) {
@@ -351,11 +366,10 @@ void Network::reset() {
   for (auto& r : routers_) r.reset();
   for (auto& ep : endpoints_) ep.reset();
   packets_.clear();
-  active_links_.clear();
+  clear_wheel();
   active_chans_.clear();
   active_routers_.clear();
   active_eps_.clear();
-  std::fill(link_active_.begin(), link_active_.end(), 0);
   std::fill(chan_active_.begin(), chan_active_.end(), 0);
   std::fill(router_active_.begin(), router_active_.end(), 0);
   std::fill(ep_active_.begin(), ep_active_.end(), 0);
@@ -597,18 +611,19 @@ void Network::set_degraded_routing(const DegradedRouting* dr) {
 }
 
 void Network::rebuild_worklists() {
-  active_links_.clear();
+  clear_wheel();
   active_chans_.clear();
   active_routers_.clear();
   active_eps_.clear();
-  std::fill(link_active_.begin(), link_active_.end(), 0);
   std::fill(chan_active_.begin(), chan_active_.end(), 0);
   std::fill(router_active_.begin(), router_active_.end(), 0);
   std::fill(ep_active_.begin(), ep_active_.end(), 0);
+  // Survivors keep their arrival times, so each re-slots at its (possibly
+  // later, after excision) front arrival.
   for (std::size_t i = 0; i < links_.size(); ++i) {
     if (links_[i].flits.in_flight() != 0 ||
         links_[i].credits.in_flight() != 0) {
-      arm(active_links_, link_active_, i);
+      slot_link(static_cast<std::uint32_t>(i));
     }
   }
   for (std::size_t e = 0; e < ep_channels_.size(); ++e) {
@@ -696,11 +711,33 @@ bool Network::invariants_ok(std::string* why) const {
         return fail("active-set router flag out of sync");
       }
     }
+    // Link wheel exactness: a link is in flight iff it is on the wheel,
+    // exactly once, in the slot of its front arrival.
+    std::vector<char> on_wheel(links_.size(), 0);
+    std::size_t slotted = 0;
+    for (std::size_t s = 0; s < wheel_head_.size(); ++s) {
+      for (std::uint32_t li = wheel_head_[s]; li != kNoLink;
+           li = wheel_next_[li]) {
+        if (li >= links_.size() || on_wheel[li] != 0) {
+          return fail("link wheel list corrupt");
+        }
+        on_wheel[li] = 1;
+        ++slotted;
+        const RouterLink& link = links_[li];
+        if (link.flits.in_flight() == 0 && link.credits.in_flight() == 0) {
+          return fail("drained link left on the wheel");
+        }
+        if ((static_cast<std::size_t>(link_front(link)) & wheel_mask_) != s) {
+          return fail("link not on the wheel slot of its front arrival");
+        }
+      }
+    }
+    if (slotted != wheel_links_) return fail("link wheel count out of sync");
     for (std::size_t i = 0; i < links_.size(); ++i) {
       const bool busy = links_[i].flits.in_flight() != 0 ||
                         links_[i].credits.in_flight() != 0;
-      if (busy != (link_active_[i] != 0)) {
-        return fail("active-set link flag out of sync");
+      if (busy && on_wheel[i] == 0) {
+        return fail("in-flight link missing from the wheel");
       }
     }
     for (std::size_t e = 0; e < ep_channels_.size(); ++e) {

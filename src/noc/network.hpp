@@ -12,6 +12,7 @@
 // (steady-state stepping does no heap allocation).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,8 +61,11 @@ class Network {
 
   /// Executes one cycle: channel delivery, endpoint injection, router step.
   /// With cfg.skip_idle (the default) only components that can make
-  /// progress are visited (active-set worklists); otherwise every link,
-  /// endpoint and router is swept densely. Both modes produce bit-identical
+  /// progress are visited (active-set worklists, plus the link arrival
+  /// wheel: a link is visited only on cycles something arrives on it);
+  /// otherwise every link, endpoint and router is swept densely. In
+  /// skip-idle mode `now` must advance by exactly one between steps while
+  /// anything is in flight. Both modes produce bit-identical
   /// results (test_active_set pins this) — the dense sweep stays as the
   /// reference implementation.
   void step(Cycle now);
@@ -80,7 +84,8 @@ class Network {
 
   /// True when nothing can happen until new traffic is offered: no buffered
   /// or in-flight flits, no queued packets, no in-flight credits. O(1) in
-  /// skip-idle mode (all worklists empty), O(N) scan in dense mode. The
+  /// skip-idle mode (all worklists and the link wheel empty), O(N) scan in
+  /// dense mode. The
   /// Simulator fast-forwards quiescent stretches to the traffic source's
   /// next event cycle.
   [[nodiscard]] bool quiescent() const;
@@ -205,8 +210,29 @@ class Network {
 
   void step_dense(Cycle now);
   void step_active(Cycle now);
-  /// Re-derives every worklist from scratch (exact post-fault state).
+  /// Re-derives every worklist and the link wheel from scratch (exact
+  /// post-fault state).
   void rebuild_worklists();
+
+  /// Arrival cycle of the oldest flit or credit on a busy link.
+  [[nodiscard]] static Cycle link_front(const RouterLink& link) {
+    if (link.flits.in_flight() == 0) return link.credits.next_arrival();
+    if (link.credits.in_flight() == 0) return link.flits.next_arrival();
+    return std::min(link.flits.next_arrival(), link.credits.next_arrival());
+  }
+  /// Puts busy link `li` on the wheel slot of its front arrival.
+  void slot_link(std::uint32_t li) {
+    const std::size_t s =
+        static_cast<std::size_t>(link_front(links_[li])) & wheel_mask_;
+    wheel_next_[li] = wheel_head_[s];
+    wheel_head_[s] = li;
+    ++wheel_links_;
+  }
+  /// Empties the wheel (every link off it).
+  void clear_wheel() {
+    std::fill(wheel_head_.begin(), wheel_head_.end(), kNoLink);
+    wheel_links_ = 0;
+  }
 
   /// Membership-flagged worklist push (no-op when already a member).
   static void arm(std::vector<std::uint32_t>& list, std::vector<char>& flag,
@@ -230,16 +256,31 @@ class Network {
 
   // --- Active-set worklists (skip-idle stepping) --------------------------
   // A component sits on its worklist exactly while it can make progress:
-  // links/channels with anything in flight, routers with buffered flits,
-  // endpoints with queued packets. Each list carries a parallel membership
-  // flag so arming is O(1) and idempotent; step_active compacts the lists
-  // in place as components drain. Re-arming happens at the producer: a
-  // router step arms exactly the channels its ports pushed into this step
-  // (the router's SA scratch records pushed ports; the target tables below
-  // map ports to worklist entries), channel delivery arms the receiving
-  // router, and offer_packet arms the endpoint.
-  std::vector<std::uint32_t> active_links_;
-  std::vector<char> link_active_;
+  // endpoint channels with anything in flight, routers with buffered
+  // flits, endpoints with queued packets. Each list carries a parallel
+  // membership flag so arming is O(1) and idempotent; step_active compacts
+  // the lists in place as components drain. Re-arming happens at the
+  // producer: a router step arms exactly the channels its ports pushed into
+  // this step (the router's SA scratch records pushed ports; the target
+  // tables below map ports to worklist entries), channel delivery arms the
+  // receiving router, and offer_packet arms the endpoint.
+  //
+  // Router links are not on a worklist but on an arrival wheel (a hashed
+  // timing wheel): a link with anything in flight sits on exactly one slot,
+  // the one of its front arrival min(flits front, credits front). Slots are
+  // intrusive lists threaded through wheel_next_. The wheel has a power of
+  // two of at least link_latency + 1 slots, and every front lies in
+  // (now, now + link_latency] between steps, so a slot never holds two
+  // different arrival cycles and re-slotting never lands on the slot being
+  // delivered. A 27-cycle D2D link with one flit in flight is visited once,
+  // at its arrival, instead of on each of its 27 cycles. Stepping must be
+  // on consecutive cycles while anything is in flight (the Simulator
+  // fast-forwards only quiescent stretches).
+  static constexpr std::uint32_t kNoLink = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> wheel_head_;  ///< per slot: first link or kNoLink
+  std::vector<std::uint32_t> wheel_next_;  ///< per link: next link in its slot
+  std::size_t wheel_mask_ = 0;             ///< slot count - 1
+  std::size_t wheel_links_ = 0;            ///< links on the wheel
   std::vector<std::uint32_t> active_chans_;
   std::vector<char> chan_active_;
   std::vector<std::uint32_t> active_routers_;

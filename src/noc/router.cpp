@@ -60,6 +60,7 @@ Router::Router(std::uint32_t id, const SimConfig& cfg,
   sa_grant_mask_.assign(n_ports_ * mask_words_, 0);
   sa_req_count_.assign(n_ports_, 0);
   sa_grant_count_.assign(n_ports_, 0);
+  sa_port_mask_.assign((n_ports_ + 63) / 64, 0);
   occupied_.assign(mask_words_, 0);
   needs_vc_mask_.assign(mask_words_, 0);
   unsent_mask_.assign(mask_words_, 0);
@@ -111,6 +112,8 @@ void Router::reset() {
   std::fill(sa_grant_mask_.begin(), sa_grant_mask_.end(), 0);
   std::fill(sa_req_count_.begin(), sa_req_count_.end(), 0);
   std::fill(sa_grant_count_.begin(), sa_grant_count_.end(), 0);
+  std::fill(sa_port_mask_.begin(), sa_port_mask_.end(), 0);
+  sa_starved_ = 0;
   std::fill(occupied_.begin(), occupied_.end(), 0);
   std::fill(needs_vc_mask_.begin(), needs_vc_mask_.end(), 0);
   std::fill(unsent_mask_.begin(), unsent_mask_.end(), 0);
@@ -161,7 +164,8 @@ void Router::receive_credit(std::size_t port, int vc) {
 }
 
 template <class Word, class Visit>
-int Router::walk_circular(int start, Word word, Visit visit) const {
+int Router::walk_circular(int start, std::size_t words, Word word,
+                          Visit visit) {
   const std::size_t sw = static_cast<std::size_t>(start) >> 6;
   const std::uint64_t high = ~0ULL << (start & 63);
   std::size_t w = sw;
@@ -172,9 +176,9 @@ int Router::walk_circular(int start, Word word, Visit visit) const {
       m &= m - 1;
       if (visit(idx)) return idx;
     }
-    if (++step > mask_words_) return -1;
-    if (++w == mask_words_) w = 0;
-    m = step < mask_words_ ? word(w) : word(sw) & ~high;
+    if (++step > words) return -1;
+    if (++w == words) w = 0;
+    m = step < words ? word(w) : word(sw) & ~high;
   }
 }
 
@@ -337,7 +341,7 @@ void Router::step(Cycle now) {
   // only the visited head's own bit, so the walk sees every head that was
   // waiting when the pass began, once.
   walk_circular(
-      static_cast<int>(now % static_cast<Cycle>(total_vcs)),
+      static_cast<int>(now % static_cast<Cycle>(total_vcs)), mask_words_,
       [&](std::size_t w) { return needs_vc_mask_[w]; },
       [&](int idx) {
         try_allocate_vc(in_[static_cast<std::size_t>(idx)], idx);
@@ -362,7 +366,7 @@ void Router::grant_one(std::size_t out_p, Cycle now) {
   // credits available, a buffered flit, input port still unmatched. The
   // first one whose head is ready wins.
   const int idx = walk_circular(
-      sa_in_rr_[out_p],
+      sa_in_rr_[out_p], mask_words_,
       [&](std::size_t w) {
         return grantable[w] & occupied_[w] & ~sa_in_used_mask_[w];
       },
@@ -393,7 +397,7 @@ void Router::grant_one(std::size_t out_p, Cycle now) {
   // owner's grantable bit (1->0 edge).
   if (!iv.out_is_ejection && --ov.credits == 0) {
     sa_grant_mask_[word_of(out_p, idx)] &= ~bit_of(idx);
-    --sa_grant_count_[out_p];
+    grantable_down(out_p);
   }
   if (iv.flits_sent++ == 0) {
     unsent_mask_[static_cast<std::size_t>(idx) >> 6] &= ~bit_of(idx);
@@ -434,24 +438,30 @@ void Router::switch_allocate(Cycle now) {
   n_grants_ = 0;
   std::fill(sa_in_used_mask_.begin(), sa_in_used_mask_.end(), 0);
 
+  // Port p's request and grantable counts change only inside p's own
+  // grant_one, so the starved sum at entry equals the sum of every port's
+  // requests - grantable taken as the pass reaches it.
+  stats_.sa_credit_stalls += sa_starved_;
+
   // One matching pass over the output ports, circularly from an offset
   // derived from the cycle number (see step()), so it is skip-invariant.
-  // Ports without a grantable requester cannot grant; skipping them touches
-  // nothing. The pass is already a maximal matching, so further
-  // iSLIP-style passes could never add a grant: a port that found no
-  // winner keeps none, because its requesters' credits and buffers change
-  // only through grants at that same port, readiness does not change
-  // within a step, and matched input ports only accumulate.
-  std::size_t out_p =
-      static_cast<std::size_t>(now % static_cast<Cycle>(n_ports_));
-  for (std::size_t i = 0; i < n_ports_; ++i) {
-    stats_.sa_credit_stalls += static_cast<std::uint64_t>(
-        sa_req_count_[out_p] - sa_grant_count_[out_p]);
-    if (sa_grant_count_[out_p] != 0 && out_channel_[out_p] != nullptr) {
-      grant_one(out_p, now);
-    }
-    if (++out_p == n_ports_) out_p = 0;
-  }
+  // Only ports with a grantable requester (sa_port_mask_) can grant;
+  // skipping the others touches nothing, and grant_one on one port leaves
+  // every other port's bit alone, so the walk sees each port whose bit was
+  // set when the pass began, once. The pass is already a maximal matching,
+  // so further iSLIP-style passes could never add a grant: a port that
+  // found no winner keeps none, because its requesters' credits and
+  // buffers change only through grants at that same port, readiness does
+  // not change within a step, and matched input ports only accumulate.
+  walk_circular(
+      static_cast<int>(now % static_cast<Cycle>(n_ports_)),
+      sa_port_mask_.size(),
+      [&](std::size_t w) { return sa_port_mask_[w]; },
+      [&](int p) {
+        const auto out_p = static_cast<std::size_t>(p);
+        if (out_channel_[out_p] != nullptr) grant_one(out_p, now);
+        return false;
+      });
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
@@ -464,6 +474,9 @@ void Router::revoke_blocked_heads() {
     if (r.vc >= 1) ++free_adaptive_[r.port];
   }
   n_reserved_ = 0;
+  // No credit-starved requester anywhere (the common case below
+  // saturation): nothing to revoke.
+  if (sa_starved_ == 0) return;
 
   // Credit-starved requesters (request & ~grantable) on network ports
   // whose header has not left yet (a started wormhole must stay).
@@ -524,7 +537,9 @@ void Router::fault_kill_port(std::size_t port) {
   std::fill_n(sa_grant_mask_.begin() +
                   static_cast<std::ptrdiff_t>(port * mask_words_),
               mask_words_, 0);
+  sa_starved_ += sa_grant_count_[port];
   sa_grant_count_[port] = 0;
+  sa_port_mask_[port >> 6] &= ~(1ULL << (port & 63));
 }
 
 void Router::fault_restore_port(std::size_t port, FlitChannel* out,
@@ -658,6 +673,7 @@ bool Router::invariants_ok(std::string* why) const {
   if (buffered_ != buffered_flits()) {
     return fail("incremental buffered-flit count out of sync");
   }
+  std::size_t starved = 0;
   for (std::size_t p = 0; p < n_ports_; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
       const InputVc& iv = in_[static_cast<std::size_t>(flat(p, v))];
@@ -737,7 +753,13 @@ bool Router::invariants_ok(std::string* why) const {
     if (requests != sa_req_count_[p] || grantable != sa_grant_count_[p]) {
       return fail("per-port request/grantable count out of sync");
     }
+    starved += requests - grantable;
+    const bool port_bit = ((sa_port_mask_[p >> 6] >> (p & 63)) & 1) != 0;
+    if (port_bit != (grantable != 0)) {
+      return fail("SA port bit out of sync with grantable count");
+    }
   }
+  if (starved != sa_starved_) return fail("starved-requester sum out of sync");
   if (n_reserved_ != 0) return fail("same-step reservation outlived its step");
   return true;
 }

@@ -37,21 +37,31 @@
 //    so their requesters are always grantable.
 //  - unsent_mask_: kActive on a network port with no flit sent yet (set by
 //    VA, cleared by the first grant and with the request).
-// SA makes one pass over the output ports and, per port, walks grantable &
-// occupied & ~(VCs of input ports already matched this cycle) from the
-// round-robin pointer; the first requester whose head is ready wins. The
-// skipped requesters could never win — no credits, an empty buffer or a
-// taken input port — so every grant and round-robin update equals a walk
-// over all requesters. Revocation walks request & ~grantable & unsent on
-// network ports, i.e. only credit-starved heads that may still re-route;
-// each revoke touches only its own input VC, its own output VC and its
-// port's free count, so walk order cannot matter. Finally, a ready head
-// that VA hands a zero-credit output VC would be revoked at the end of the
-// same step with certainty (SA cannot grant it and no credit arrives
-// mid-step), so VA records that as a same-step reservation instead: the
-// output VC stays owned (and free_adaptive_ debited) for the rest of the
-// VA pass, is released at the revoke point, and the head never enters the
-// masks. Every VA attempt still makes its RNG draw in the same order.
+//  - sa_port_mask_ (over output ports): the port's grantable count is
+//    non-zero. Kept by every grantable-count edge above.
+//  - sa_starved_: the sum over ports of requests - grantable, kept by the
+//    same edges plus the request edges.
+// SA makes one pass over the output ports in sa_port_mask_, circularly
+// from the cycle's offset, and per port walks grantable & occupied &
+// ~(VCs of input ports already matched this cycle) from the round-robin
+// pointer; the first requester whose head is ready wins. The skipped ports
+// and requesters could never win — no grantable requester, no credits, an
+// empty buffer or a taken input port — so every grant and round-robin
+// update equals a walk over all ports and requesters. Port p's counts
+// change only inside p's own grant, after the pass reached p, so
+// sa_starved_ at SA entry is exactly the per-port credit-stall tally a
+// full walk would add. Revocation returns at once when sa_starved_ is zero
+// (the common case below saturation); otherwise it walks request &
+// ~grantable & unsent on network ports, i.e. only credit-starved heads that
+// may still re-route; each revoke touches only its own input VC, its own
+// output VC and its port's free count, so walk order cannot matter.
+// Finally, a ready head that VA hands a zero-credit output VC would be
+// revoked at the end of the same step with certainty (SA cannot grant it
+// and no credit arrives mid-step), so VA records that as a same-step
+// reservation instead: the output VC stays owned (and free_adaptive_
+// debited) for the rest of the VA pass, is released at the revoke point,
+// and the head never enters the masks. Every VA attempt still makes its
+// RNG draw in the same order.
 // test_router_busy_path pins all of this against fingerprints recorded
 // from the full-scan router, and invariants_ok checks every mask.
 #pragma once
@@ -284,39 +294,54 @@ class Router {
   void init_idle_mask();
 
   /// Request/grantable bookkeeping (see the header comment for the edges).
+  /// Every grantable-count change goes through grantable_up/_down, which
+  /// keep the SA port mask and the starved-requester sum in step.
+  void grantable_up(std::size_t p) {
+    if (sa_grant_count_[p]++ == 0) sa_port_mask_[p >> 6] |= 1ULL << (p & 63);
+    --sa_starved_;
+  }
+  void grantable_down(std::size_t p) {
+    if (--sa_grant_count_[p] == 0) {
+      sa_port_mask_[p >> 6] &= ~(1ULL << (p & 63));
+    }
+    ++sa_starved_;
+  }
   void mark_request(std::size_t out_p, int out_vc, int iv_flat) {
     const std::size_t w = word_of(out_p, iv_flat);
     sa_request_mask_[w] |= bit_of(iv_flat);
     ++sa_req_count_[out_p];
+    ++sa_starved_;
     if (out_[static_cast<std::size_t>(flat(out_p, out_vc))].credits > 0) {
       sa_grant_mask_[w] |= bit_of(iv_flat);
-      ++sa_grant_count_[out_p];
+      grantable_up(out_p);
     }
   }
   void clear_request(std::size_t out_p, int iv_flat) {
     unsent_mask_[static_cast<std::size_t>(iv_flat) >> 6] &= ~bit_of(iv_flat);
     const std::size_t w = word_of(out_p, iv_flat);
-    sa_request_mask_[w] &= ~bit_of(iv_flat);
-    --sa_req_count_[out_p];
     if ((sa_grant_mask_[w] & bit_of(iv_flat)) != 0) {
       sa_grant_mask_[w] &= ~bit_of(iv_flat);
-      --sa_grant_count_[out_p];
+      grantable_down(out_p);
     }
+    sa_request_mask_[w] &= ~bit_of(iv_flat);
+    --sa_req_count_[out_p];
+    --sa_starved_;
   }
   /// 0->1 credit edge of output VC (port, vc): its owner becomes grantable.
   void on_credit_restored(std::size_t port, int vc) {
     const int owner = out_[static_cast<std::size_t>(flat(port, vc))].owner;
     if (owner < 0) return;
     sa_grant_mask_[word_of(port, owner)] |= bit_of(owner);
-    ++sa_grant_count_[port];
+    grantable_up(port);
   }
 
-  /// Visits the set bits of word(0..mask_words_-1) in circular flat-id
-  /// order starting at `start`: the start word's bits >= start, the other
-  /// words wrapping around, then the start word's low bits. Stops at and
-  /// returns the first id for which visit(id) is true; -1 otherwise.
+  /// Visits the set bits of word(0..words-1) in circular bit order
+  /// starting at `start`: the start word's bits >= start, the other words
+  /// wrapping around, then the start word's low bits. Stops at and returns
+  /// the first index for which visit(index) is true; -1 otherwise.
   template <class Word, class Visit>
-  int walk_circular(int start, Word word, Visit visit) const;
+  static int walk_circular(int start, std::size_t words, Word word,
+                           Visit visit);
 
   void route_compute(InputVc& iv, int iv_flat);
   void try_allocate_vc(InputVc& iv, int iv_flat);
@@ -369,6 +394,12 @@ class Router {
   std::vector<std::uint64_t> sa_grant_mask_;
   std::vector<std::uint16_t> sa_req_count_;
   std::vector<std::uint16_t> sa_grant_count_;
+  /// Bitmask over output ports with sa_grant_count_ != 0 ([port >> 6]),
+  /// the only ports SA visits.
+  std::vector<std::uint64_t> sa_port_mask_;
+  /// Sum over all ports of sa_req_count_ - sa_grant_count_: the
+  /// credit-starved requesters SA charges to sa_credit_stalls each call.
+  std::size_t sa_starved_ = 0;
 
   /// Bitmasks over flat input-VC ids: the VC buffers at least one flit;
   /// its state is kIdle; its state is kNeedsVc; it holds a network output

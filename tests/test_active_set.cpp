@@ -12,7 +12,9 @@
 //
 // Plus: Network::reset() clears the active-set state (the arena recycles
 // networks through reset(); stale worklists would violate the skip-mode
-// flag-exactness invariants and resurrect ghost work).
+// flag-exactness invariants and resurrect ghost work), and the link
+// arrival wheel stays exact at every wheel-size boundary of link_latency,
+// through a mid-run link kill and repair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +23,9 @@
 
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
+#include "faults/controller.hpp"
+#include "faults/fault_plan.hpp"
+#include "graph/algorithms.hpp"
 #include "noc/network.hpp"
 #include "noc/simulator.hpp"
 #include "noc/topology.hpp"
@@ -167,6 +172,100 @@ TEST(ActiveSet, ResetClearsActiveSetState) {
   EXPECT_EQ(fresh.total_flits_injected(), recycled.total_flits_injected());
   EXPECT_EQ(fresh.total_flits_ejected(), recycled.total_flits_ejected());
   EXPECT_GT(fresh.total_flits_ejected(), 0u);
+}
+
+TEST(ActiveSet, LinkWheelBitIdenticalAtWheelSizeBoundaries) {
+  // The wheel has bit_ceil(link_latency + 1) slots: latencies 1, 2, 15,
+  // 16, 17, 27, 31 and 32 cover a full wheel (2^k - 1), one slot to spare
+  // and the default. A dense and a skip-idle network take the same traffic
+  // and the same link kill + repair in lockstep; the kill strands flits on
+  // the surviving links, so rebuild_worklists must re-slot them. A wheel
+  // too small for its latency still delivers on time (a link visited early
+  // just re-slots) but trips step_active's front-arrival assert, so this
+  // case also runs in the assertions-on build.
+  const auto arr = make_arrangement(ArrangementType::kHexaMesh, 19);
+  const hm::graph::Graph& g = arr.graph();
+  const auto bridges = hm::graph::bridges(g);
+  const auto edges = g.edges();
+  const auto edge = *std::find_if(edges.begin(), edges.end(), [&](auto e) {
+    return std::find(bridges.begin(), bridges.end(), e) == bridges.end();
+  });
+  hm::faults::FaultPlan plan;
+  plan.events.push_back(hm::faults::FaultEvent{
+      150, hm::faults::FaultKind::kLinkKill, edge.first, edge.second});
+  plan.events.push_back(hm::faults::FaultEvent{
+      400, hm::faults::FaultKind::kLinkRepair, edge.first, edge.second});
+  const auto topo = hm::noc::TopologyContext::acquire(g);
+  constexpr Cycle kCycles = 900;
+
+  for (const int latency : {1, 2, 15, 16, 17, 27, 31, 32}) {
+    const std::string ctx = "link_latency=" + std::to_string(latency);
+    SimConfig cfg;
+    cfg.link_latency = latency;
+    cfg.skip_idle = true;
+    Network active(topo, cfg);
+    cfg.skip_idle = false;
+    Network dense(topo, cfg);
+    hm::faults::FaultController faults_a(plan);
+    hm::faults::FaultController faults_d(plan);
+    faults_a.arm(active, 0);
+    faults_d.arm(dense, 0);
+    for (std::size_t e = 0; e < active.num_endpoints(); ++e) {
+      active.endpoint(e).set_measurement_window(0, kCycles);
+      dense.endpoint(e).set_measurement_window(0, kCycles);
+    }
+    hm::noc::UniformRandomTraffic traffic(active.num_endpoints(), 0.1,
+                                          cfg.packet_length);
+    hm::noc::Rng rng(9);
+    std::string why;
+    for (Cycle now = 0; now < kCycles; ++now) {
+      if (now == plan.events.front().at) {
+        ASSERT_FALSE(active.quiescent()) << ctx << ": nothing to re-slot";
+      }
+      faults_a.on_tick(active, now);
+      faults_d.on_tick(dense, now);
+      for (std::size_t e = 0; e < active.num_endpoints(); ++e) {
+        const auto p =
+            traffic.maybe_generate(static_cast<std::uint16_t>(e), now, rng);
+        if (p.has_value() && faults_a.packet_routable(*p)) {
+          ASSERT_EQ(active.offer_packet(e, *p), dense.offer_packet(e, *p))
+              << ctx;
+        }
+      }
+      active.step(now);
+      dense.step(now);
+      ASSERT_EQ(active.total_flits_ejected(), dense.total_flits_ejected())
+          << ctx << " cycle " << now;
+      ASSERT_TRUE(active.invariants_ok(&why)) << ctx << " cycle " << now
+                                              << ": " << why;
+    }
+    EXPECT_EQ(faults_a.stats().links_killed, 1u) << ctx;
+    EXPECT_EQ(faults_a.stats().repairs, 1u) << ctx;
+    EXPECT_EQ(active.flits_dropped(), dense.flits_dropped()) << ctx;
+    EXPECT_EQ(active.total_flits_injected(), dense.total_flits_injected())
+        << ctx;
+    EXPECT_EQ(active.flits_in_network(), dense.flits_in_network()) << ctx;
+    for (std::size_t e = 0; e < active.num_endpoints(); ++e) {
+      const hm::noc::SinkStats& a = active.endpoint(e).sink();
+      const hm::noc::SinkStats& d = dense.endpoint(e).sink();
+      EXPECT_EQ(a.packets_ejected, d.packets_ejected) << ctx << " ep " << e;
+      EXPECT_EQ(a.tagged_latency_sum, d.tagged_latency_sum)
+          << ctx << " ep " << e;
+    }
+    for (std::size_t r = 0; r < active.num_routers(); ++r) {
+      const auto& a = active.router(r).hot_stats();
+      const auto& d = dense.router(r).hot_stats();
+      EXPECT_EQ(a.flits_routed, d.flits_routed) << ctx << " router " << r;
+      EXPECT_EQ(a.heads_revoked, d.heads_revoked) << ctx << " router " << r;
+      EXPECT_EQ(a.va_stall_cycles, d.va_stall_cycles)
+          << ctx << " router " << r;
+      EXPECT_EQ(a.sa_conflict_stalls, d.sa_conflict_stalls)
+          << ctx << " router " << r;
+      EXPECT_EQ(a.sa_credit_stalls, d.sa_credit_stalls)
+          << ctx << " router " << r;
+      EXPECT_EQ(a.ring_hwm, d.ring_hwm) << ctx << " router " << r;
+    }
+  }
 }
 
 /// Short-window saturation search options every surrogate test shares.

@@ -1,12 +1,15 @@
 // Pins the saturated ("busy") router path bit for bit.
 //
 //  1. Fingerprints: exact switch grants, router steps, escape revocations,
-//     VA stalls, packets delivered and the tagged latency sum of a short
-//     above-saturation run, over every routing mode x VC count x endpoint
-//     count x SA iteration count the router specializes on, plus a mid-run
-//     link kill + repair. The expected values were recorded from the
-//     full-scan router (every requester examined every cycle); any change
-//     to arbitration order, RNG draws or revocation timing shows up here.
+//     VA stalls, packets delivered, the tagged latency sum and both SA
+//     stall counters of a short above-saturation run, over every routing
+//     mode x VC count x endpoint count the router specializes on, plus a
+//     mid-run link kill + repair and one low-load run. The first six
+//     values were recorded from the full-scan router (every requester
+//     examined every cycle), the SA stall counters and the low-load case
+//     from the per-port-count SA walk that preceded the port-mask walk;
+//     any change to arbitration order, RNG draws, revocation timing or
+//     stall accounting shows up here.
 //     test_active_set cannot catch such a change (its dense and active
 //     steppers drive the same Router) and tests/golden pins only the
 //     default configuration.
@@ -55,6 +58,8 @@ struct Fingerprint {
   std::uint64_t va_stall_cycles = 0;
   std::uint64_t packets_delivered = 0;
   std::uint64_t latency_sum = 0;
+  std::uint64_t sa_credit_stalls = 0;
+  std::uint64_t sa_conflict_stalls = 0;
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
@@ -65,7 +70,9 @@ std::string to_string(const Fingerprint& f) {
          std::to_string(f.heads_revoked) + ", " +
          std::to_string(f.va_stall_cycles) + ", " +
          std::to_string(f.packets_delivered) + ", " +
-         std::to_string(f.latency_sum) + "}";
+         std::to_string(f.latency_sum) + ", " +
+         std::to_string(f.sa_credit_stalls) + ", " +
+         std::to_string(f.sa_conflict_stalls) + "}";
 }
 
 Fingerprint fingerprint(Simulator& sim) {
@@ -76,6 +83,8 @@ Fingerprint fingerprint(Simulator& sim) {
   f.router_steps = hs.router_steps;
   f.heads_revoked = hs.routers.heads_revoked;
   f.va_stall_cycles = hs.routers.va_stall_cycles;
+  f.sa_credit_stalls = hs.routers.sa_credit_stalls;
+  f.sa_conflict_stalls = hs.routers.sa_conflict_stalls;
   for (std::size_t e = 0; e < net.num_endpoints(); ++e) {
     f.packets_delivered += net.endpoint(e).sink().packets_ejected;
     f.latency_sum += net.endpoint(e).sink().tagged_latency_sum;
@@ -117,39 +126,49 @@ constexpr RoutingMode kAdaptive = RoutingMode::kMinimalAdaptive;
 constexpr RoutingMode kDeterministic = RoutingMode::kDeterministicMinimal;
 constexpr RoutingMode kUpDown = RoutingMode::kUpDownOnly;
 
-// Recorded from the full-scan router on HexaMesh N=19, seed 42, windows
-// 400/400/800 at kOverload.
+// Recorded on HexaMesh N=19, seed 42, windows 400/400/800 at kOverload.
 // {routing, vcs, endpoints,
 //  {flits_routed, router_steps, heads_revoked, va_stall_cycles,
-//   packets_delivered, latency_sum}}
+//   packets_delivered, latency_sum, sa_credit_stalls, sa_conflict_stalls}}
 const Case kCases[] = {
-    {kAdaptive, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kAdaptive, 1, 2, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kAdaptive, 1, 4, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kAdaptive, 2, 1, {24610, 27533, 57248, 19389, 1781, 197309}},
-    {kAdaptive, 2, 2, {28749, 30336, 97489, 68397, 2138, 280234}},
-    {kAdaptive, 2, 4, {28076, 30366, 112966, 187567, 2211, 149987}},
-    {kAdaptive, 8, 1, {47022, 19221, 22109, 926, 3403, 172739}},
-    {kAdaptive, 8, 2, {126410, 30336, 179099, 156455, 9286, 613291}},
-    {kAdaptive, 8, 4, {116759, 30366, 375100, 668308, 8939, 973732}},
-    {kDeterministic, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kDeterministic, 1, 2, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kDeterministic, 1, 4, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kDeterministic, 2, 1, {16154, 30220, 50198, 34531, 1172, 135995}},
-    {kDeterministic, 2, 2, {14790, 30338, 60930, 90827, 1115, 87552}},
-    {kDeterministic, 2, 4, {14612, 30366, 65639, 211954, 1193, 64118}},
-    {kDeterministic, 8, 1, {60188, 30193, 83958, 83795, 4355, 267918}},
-    {kDeterministic, 8, 2, {58579, 30338, 161942, 333838, 4386, 372016}},
-    {kDeterministic, 8, 4, {54284, 30366, 189430, 820771, 4370, 278011}},
-    {kUpDown, 1, 1, {7861, 30220, 28325, 15175, 574, 87549}},
-    {kUpDown, 1, 2, {6892, 30338, 30050, 46404, 515, 31926}},
-    {kUpDown, 1, 4, {6730, 30366, 34410, 107427, 559, 24810}},
-    {kUpDown, 2, 1, {16643, 30205, 55120, 28381, 1215, 135183}},
-    {kUpDown, 2, 2, {14129, 30338, 59929, 92011, 1067, 90204}},
-    {kUpDown, 2, 4, {14654, 30366, 65451, 211835, 1183, 50633}},
-    {kUpDown, 8, 1, {59768, 30192, 85437, 86294, 4325, 291534}},
-    {kUpDown, 8, 2, {59601, 30338, 156079, 328767, 4474, 372295}},
-    {kUpDown, 8, 4, {53644, 30366, 185635, 819633, 4311, 253376}},
+    {kAdaptive, 1, 1, {7861, 30220, 28325, 15175, 574, 87549, 29287, 0}},
+    {kAdaptive, 1, 2, {6892, 30338, 30050, 46404, 515, 31926, 30662, 0}},
+    {kAdaptive, 1, 4, {6730, 30366, 34410, 107427, 559, 24810, 34673, 0}},
+    {kAdaptive, 2, 1, {24610, 27533, 57248, 19389, 1781, 197309, 64812, 1444}},
+    {kAdaptive, 2, 2, {28749, 30336, 97489, 68397, 2138, 280234, 105316, 1515}},
+    {kAdaptive, 2, 4,
+     {28076, 30366, 112966, 187567, 2211, 149987, 119090, 1382}},
+    {kAdaptive, 8, 1, {47022, 19221, 22109, 926, 3403, 172739, 70181, 35696}},
+    {kAdaptive, 8, 2,
+     {126410, 30336, 179099, 156455, 9286, 613291, 417976, 133185}},
+    {kAdaptive, 8, 4,
+     {116759, 30366, 375100, 668308, 8939, 973732, 587356, 99021}},
+    {kDeterministic, 1, 1, {7861, 30220, 28325, 15175, 574, 87549, 29287, 0}},
+    {kDeterministic, 1, 2, {6892, 30338, 30050, 46404, 515, 31926, 30662, 0}},
+    {kDeterministic, 1, 4, {6730, 30366, 34410, 107427, 559, 24810, 34673, 0}},
+    {kDeterministic, 2, 1,
+     {16154, 30220, 50198, 34531, 1172, 135995, 54200, 684}},
+    {kDeterministic, 2, 2,
+     {14790, 30338, 60930, 90827, 1115, 87552, 63374, 460}},
+    {kDeterministic, 2, 4,
+     {14612, 30366, 65639, 211954, 1193, 64118, 68084, 535}},
+    {kDeterministic, 8, 1,
+     {60188, 30193, 83958, 83795, 4355, 267918, 167121, 38879}},
+    {kDeterministic, 8, 2,
+     {58579, 30338, 161942, 333838, 4386, 372016, 245645, 35585}},
+    {kDeterministic, 8, 4,
+     {54284, 30366, 189430, 820771, 4370, 278011, 259719, 33733}},
+    {kUpDown, 1, 1, {7861, 30220, 28325, 15175, 574, 87549, 29287, 0}},
+    {kUpDown, 1, 2, {6892, 30338, 30050, 46404, 515, 31926, 30662, 0}},
+    {kUpDown, 1, 4, {6730, 30366, 34410, 107427, 559, 24810, 34673, 0}},
+    {kUpDown, 2, 1, {16643, 30205, 55120, 28381, 1215, 135183, 60982, 1159}},
+    {kUpDown, 2, 2, {14129, 30338, 59929, 92011, 1067, 90204, 64521, 1027}},
+    {kUpDown, 2, 4, {14654, 30366, 65451, 211835, 1183, 50633, 69744, 1159}},
+    {kUpDown, 8, 1, {59768, 30192, 85437, 86294, 4325, 291534, 171945, 37823}},
+    {kUpDown, 8, 2,
+     {59601, 30338, 156079, 328767, 4474, 372295, 244515, 37774}},
+    {kUpDown, 8, 4,
+     {53644, 30366, 185635, 819633, 4311, 253376, 260036, 34804}},
 };
 
 TEST(RouterBusyPath, FingerprintsAcrossRouterSpecializations) {
@@ -168,6 +187,18 @@ TEST(RouterBusyPath, FingerprintsAcrossRouterSpecializations) {
   }
 }
 
+TEST(RouterBusyPath, FingerprintAtLowLoad) {
+  // Every case above is overloaded; at the evaluator's latency-probe rate
+  // almost no requester is ever credit-starved, which is where SA and
+  // revocation skip the most.
+  SimConfig cfg;
+  Simulator sim(hexamesh19(), cfg);
+  (void)sim.run_latency(0.01, 1000, 3000, 60000);
+  const Fingerprint expected{5016, 8370, 91, 0, 374, 20864, 115, 23};
+  EXPECT_EQ(fingerprint(sim), expected)
+      << "got " << to_string(fingerprint(sim));
+}
+
 TEST(RouterBusyPath, FingerprintUnderLinkKillAndRepair) {
   const Graph g = hexamesh19();
   struct FaultCase {
@@ -177,8 +208,8 @@ TEST(RouterBusyPath, FingerprintUnderLinkKillAndRepair) {
     std::uint64_t packets_rerouted;
   };
   const FaultCase cases[] = {
-      {2, {117019, 30336, 212049, 192694, 8486, 0}, 87, 2},
-      {4, {102394, 30366, 427068, 706640, 7787, 0}, 66, 1},
+      {2, {117019, 30336, 212049, 192694, 8486, 0, 425389, 113034}, 87, 2},
+      {4, {102394, 30366, 427068, 706640, 7787, 0, 597265, 76647}, 66, 1},
   };
   for (const FaultCase& c : cases) {
     SimConfig cfg;
